@@ -75,7 +75,7 @@ def cmd_propagate(args) -> int:
     L = args.order
     if L is None:
         L = propagator.auto_order(m, float(np.max(np.abs(times))), args.tol)
-    res = propagator.evolve(m, psi0, times, L, method=args.method)
+    res = propagator.evolve(m, psi0, times, L)
     rows = []
     for k, t in enumerate(res.times):
         for g in range(m.dim):
@@ -145,7 +145,7 @@ def cmd_decompose(args) -> int:
         pieces = contraction.third_order_pieces(m, t)
     else:
         raise ValueError("decompose supports --order 2 or 3")
-    term = propagator.series_term(m, args.decompose_order, t, method=args.method)
+    term = propagator.series_term(m, args.decompose_order, t)
     total = sum(p.matrix for p in pieces)
     residual = float(np.linalg.norm(total - term.matrix))
     doc = {
@@ -254,15 +254,14 @@ def cmd_bench(args) -> int:
         t = args.t / max(scale, 1e-12)
         exact = propagator.oracle_eigensolve(model, t)
         for L in orders:
-            for method in ("tuples", "block"):
-                try:
-                    t0 = time.perf_counter()
-                    U = propagator.truncated_propagator(m, L, t, method=method)
-                    wall = time.perf_counter() - t0
-                except propagator.BudgetExceededError:
-                    continue
-                err = float(np.linalg.norm(U.matrix - exact))
-                rows.append((dim, L, method, wall, err, U.tail_bound))
+            try:
+                t0 = time.perf_counter()
+                U = propagator.truncated_propagator(m, L, t)
+                wall = time.perf_counter() - t0
+            except propagator.BudgetExceededError:
+                continue
+            err = float(np.linalg.norm(U.matrix - exact))
+            rows.append((dim, L, propagator._route(dim, L), wall, err, U.tail_bound))
     _write_csv(
         args.out,
         ["dim", "order_cap", "method", "wall_time_s", "error_vs_oracle", "tail_bound"],
@@ -279,23 +278,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_common(q, model=True, times=False):
-        if model:
-            q.add_argument("--model", required=True, help="path to a JSON model file")
+    def add_common(q, times=False, formats=("csv", "json")):
+        q.add_argument("--model", required=True, help="path to a JSON model file")
         if times:
             q.add_argument("--t-start", type=float, default=0.0)
             q.add_argument("--t-stop", type=float, default=1.0)
             q.add_argument("--t-count", type=int, default=11)
         q.add_argument("--out", default=None, help="output path (default stdout)")
-        q.add_argument("--format", choices=("csv", "json"), default="csv")
-        q.add_argument("--seed", type=int, default=0)
-        q.add_argument("--tol", type=float, default=1e-10)
-        q.add_argument(
-            "--method", choices=("tuples", "block", "auto"), default="auto"
-        )
+        q.add_argument("--format", choices=formats, default=formats[0])
 
     q = sub.add_parser("propagate", help="evolve a state on a time grid")
     add_common(q, times=True)
+    q.add_argument("--tol", type=float, default=1e-10)
     q.add_argument("--order", type=int, default=None, help="order cap (default: auto)")
     q.add_argument("--initial", type=int, default=0, help="initial basis level")
     q.add_argument(
@@ -316,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(func=cmd_energy)
 
     q = sub.add_parser("decompose", help="contraction pieces of one series order")
-    add_common(q)
+    add_common(q, formats=("json",))
     q.add_argument("--order", dest="decompose_order", type=int, default=2)
     q.add_argument("--t", type=float, default=1.0)
     q.set_defaults(func=cmd_decompose)
@@ -338,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--out", default=None)
     q.set_defaults(func=cmd_demo)
 
-    q = sub.add_parser("bench", help="timing and error sweep of both term paths")
+    q = sub.add_parser("bench", help="timing and error sweep of truncated propagators")
     q.add_argument("--dims", default="4,8,16")
     q.add_argument("--orders", default="2,4,8")
     q.add_argument("--t", type=float, default=1.0, help="time in units of 1/|g|")

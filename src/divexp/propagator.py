@@ -3,17 +3,20 @@
 The order-l contribution to <g| exp(-i H t) |g'> is a sum over index tuples
 (g_1 .. g_{l+1}) of the exponential divided difference over the corresponding
 energy tuple times the product of coupling matrix elements along the tuple.
-Two evaluation paths are provided: direct tuple enumeration (cost ~ D^(l-1)
-divided differences) and the block-bidiagonal matrix exponential whose
-top block row carries every order at once (cost ~ ((L+1) D)^3).  Three
-independent oracles (exact eigensolve, integrated interaction-picture
-recurrence, block exponential) cross-check the assembly.
+Two evaluation routes give the same terms: direct tuple enumeration (cost
+~ D^(l-1) divided differences) and the block-bidiagonal matrix exponential
+whose top block row carries every order at once (cost ~ ((l+1) D)^3).  The
+route is fixed by the dimension D and the order l: tuples when l == 1 or
+D^(l-2) <= (l+1)^2, the block exponential otherwise.  The block route refuses
+matrices of side (l+1) D above MAX_BLOCK_SIDE = 2048 with
+BudgetExceededError.  Three independent oracles (exact eigensolve,
+integrated interaction-picture recurrence, block exponential) cross-check
+the assembly.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,15 +25,13 @@ import scipy.integrate
 
 from .coeff import dd_exp_batch
 from .model import RedividedHamiltonian, SplitHamiltonian, StateVector
-from .util import spectral_norm, thread_count
 
-DEFAULT_TUPLE_BUDGET = 200_000
-DEFAULT_BLOCK_BUDGET = 2048
+MAX_BLOCK_SIDE = 2048
 MAX_AUTO_ORDER = 16
 
 
 class BudgetExceededError(RuntimeError):
-    """Requested evaluation exceeds the configured cost budget."""
+    """The block exponential would exceed MAX_BLOCK_SIDE."""
 
 
 class EigensolveError(RuntimeError):
@@ -76,38 +77,11 @@ class EvolutionResult:
 # ---------------------------------------------------------------------------
 
 
-def _tuples_cost(dim: int, l: int) -> float:
-    return float(dim) ** max(l - 1, 0)
-
-
-def _select_method(dim: int, l: int, method: str, tuple_budget: int, block_budget: int) -> str:
-    if method not in ("auto", "tuples", "block"):
-        raise ValueError(f"unknown method {method!r}")
-    tuples_ok = _tuples_cost(dim, l) <= tuple_budget
-    block_ok = (l + 1) * dim <= block_budget
-    if method == "tuples":
-        if not tuples_ok:
-            raise BudgetExceededError(
-                f"tuple enumeration needs {_tuples_cost(dim, l):.3g} interior tuples "
-                f"(budget {tuple_budget}); the block method is suggested"
-            )
+def _route(dim: int, l: int) -> str:
+    """Evaluation route of an order-l term at dimension dim."""
+    if l == 1 or dim ** (l - 2) <= (l + 1) ** 2:
         return "tuples"
-    if method == "block":
-        if not block_ok:
-            raise BudgetExceededError(
-                f"block matrix of side {(l + 1) * dim} exceeds budget {block_budget}"
-            )
-        return "block"
-    # auto: prefer the cheaper path by a rough flop model
-    cost_t = _tuples_cost(dim, l) * dim * dim * (l + 1)
-    cost_b = float((l + 1) * dim) ** 3
-    if tuples_ok and (cost_t <= cost_b or not block_ok):
-        return "tuples"
-    if block_ok:
-        return "block"
-    raise BudgetExceededError(
-        f"no evaluation path within budget for dim={dim}, l={l}"
-    )
+    return "block"
 
 
 def _order_matrix_tuples(energies, coupling, l, t):
@@ -148,6 +122,10 @@ def _block_top_row(energies, coupling, L, t):
     """Top block row of the stacked bidiagonal exponential: orders 0..L."""
     dim = energies.size
     side = (L + 1) * dim
+    if side > MAX_BLOCK_SIDE:
+        raise BudgetExceededError(
+            f"block matrix of side {side} exceeds {MAX_BLOCK_SIDE}"
+        )
     M = np.zeros((side, side), dtype=complex)
     h0 = -1j * t * np.diag(energies.astype(complex))
     v = -1j * t * coupling
@@ -159,38 +137,20 @@ def _block_top_row(energies, coupling, L, t):
     return [E[0:dim, j * dim : (j + 1) * dim] for j in range(L + 1)]
 
 
-def series_order_matrix(
-    energies,
-    coupling,
-    l: int,
-    t: float,
-    method: str = "auto",
-    tuple_budget: int = DEFAULT_TUPLE_BUDGET,
-    block_budget: int = DEFAULT_BLOCK_BUDGET,
-) -> np.ndarray:
+def series_order_matrix(energies, coupling, l: int, t: float) -> np.ndarray:
     """Order-l term matrix for arbitrary split (coupling may carry a diagonal)."""
     energies = np.asarray(energies, dtype=float)
     coupling = np.asarray(coupling, dtype=complex)
     if l < 1:
         raise ValueError("order must be >= 1")
-    chosen = _select_method(energies.size, l, method, tuple_budget, block_budget)
-    if chosen == "tuples":
+    if _route(energies.size, l) == "tuples":
         return _order_matrix_tuples(energies, coupling, l, float(t))
     return _block_top_row(energies, coupling, l, float(t))[l]
 
 
-def series_term(
-    m: RedividedHamiltonian,
-    l: int,
-    t: float,
-    method: str = "auto",
-    tuple_budget: int = DEFAULT_TUPLE_BUDGET,
-    block_budget: int = DEFAULT_BLOCK_BUDGET,
-) -> SeriesTerm:
+def series_term(m: RedividedHamiltonian, l: int, t: float) -> SeriesTerm:
     """Order-l series term on the redivided split (strictly off-diagonal coupling)."""
-    mat = series_order_matrix(
-        m.shifted_energies, m.offdiagonal, l, t, method, tuple_budget, block_budget
-    )
+    mat = series_order_matrix(m.shifted_energies, m.offdiagonal, l, t)
     return SeriesTerm(order=l, matrix=mat, t=float(t))
 
 
@@ -201,19 +161,13 @@ def _tail_bound(x: float, L: int) -> float:
     return math.exp((L + 1) * math.log(x) - math.lgamma(L + 2) + x)
 
 
-def coupling_strength(m: RedividedHamiltonian, tol: float = 1e-6) -> float:
-    """Spectral norm of the off-diagonal coupling (power iteration)."""
-    return spectral_norm(m.offdiagonal, tol=tol)
+def coupling_strength(m: RedividedHamiltonian) -> float:
+    """Spectral norm of the off-diagonal coupling."""
+    return float(np.linalg.norm(m.offdiagonal, 2))
 
 
 def truncated_propagator(
-    m: RedividedHamiltonian,
-    L: int,
-    t: float,
-    method: str = "auto",
-    tuple_budget: int = DEFAULT_TUPLE_BUDGET,
-    block_budget: int = DEFAULT_BLOCK_BUDGET,
-    _norm_g: float | None = None,
+    m: RedividedHamiltonian, L: int, t: float
 ) -> TruncatedPropagator:
     """diag(exp(-i E' t)) plus all series terms through order L."""
     if L < 0:
@@ -221,57 +175,45 @@ def truncated_propagator(
     e = m.shifted_energies
     U = np.diag(np.exp(-1j * e * t)).astype(complex)
     if L > 0 and np.any(m.offdiagonal):
-        chosen = _select_method(e.size, L, method, tuple_budget, block_budget)
-        if chosen == "block":
+        if _route(e.size, L) == "block":
             row = _block_top_row(e, m.offdiagonal, L, t)
             for l in range(1, L + 1):
                 U = U + row[l]
         else:
             for l in range(1, L + 1):
                 U = U + _order_matrix_tuples(e, m.offdiagonal, l, t)
-    ng = coupling_strength(m) if _norm_g is None else _norm_g
     return TruncatedPropagator(
-        t=float(t), order_cap=L, matrix=U, tail_bound=_tail_bound(ng * abs(t), L)
+        t=float(t),
+        order_cap=L,
+        matrix=U,
+        tail_bound=_tail_bound(coupling_strength(m) * abs(t), L),
     )
 
 
 def auto_order(m: RedividedHamiltonian, t_max: float, tol: float) -> int:
-    """Smallest order cap whose tail bound beats tol, capped at MAX_AUTO_ORDER."""
+    """Smallest order cap whose tail bound beats tol; ValueError past MAX_AUTO_ORDER."""
     x = coupling_strength(m) * abs(t_max)
     for L in range(MAX_AUTO_ORDER + 1):
-        if _tail_bound(x, L) < tol:
+        bound = _tail_bound(x, L)
+        if bound < tol:
             return L
-    return MAX_AUTO_ORDER
+    raise ValueError(
+        f"no order cap up to {MAX_AUTO_ORDER} brings the tail bound below "
+        f"tol={tol:.3g} at x=|g|*t={x:.6g}: the bound at order "
+        f"{MAX_AUTO_ORDER} is {bound:.3g}"
+    )
 
 
-def evolve(
-    m: RedividedHamiltonian,
-    psi0: StateVector,
-    times,
-    L: int,
-    method: str = "auto",
-) -> EvolutionResult:
+def evolve(m: RedividedHamiltonian, psi0: StateVector, times, L: int) -> EvolutionResult:
     """Amplitudes of the truncated evolution at each requested time."""
     times = np.asarray(times, dtype=float).reshape(-1)
     if times.size < 1 or not np.all(np.isfinite(times)):
         raise ValueError("times must be a finite non-empty sequence")
     if psi0.dim != m.dim:
         raise ValueError("state dimension does not match model")
-    ng = coupling_strength(m)
-
-    def one(t):
-        U = truncated_propagator(m, L, t, method=method, _norm_g=ng)
-        c = U.matrix @ psi0.amplitudes
-        return c, U.tail_bound
-
-    workers = min(thread_count(), times.size)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, times))
-    else:
-        results = [one(t) for t in times]
-    amps = np.array([c for c, _ in results])
-    tails = np.array([b for _, b in results])
+    props = [truncated_propagator(m, L, t) for t in times]
+    amps = np.array([U.matrix @ psi0.amplitudes for U in props])
+    tails = np.array([U.tail_bound for U in props])
     drift = np.abs(np.linalg.norm(amps, axis=1) - 1.0)
     return EvolutionResult(
         times=times, amplitudes=amps, order_cap=L, tail_bounds=tails, norm_drift=drift
@@ -350,19 +292,10 @@ def oracle_dyson_order(
     return np.exp(-1j * e * t)[:, None] * b_l
 
 
-def oracle_block_order(
-    m: RedividedHamiltonian,
-    l: int,
-    t: float,
-    block_budget: int = DEFAULT_BLOCK_BUDGET,
-) -> np.ndarray:
+def oracle_block_order(m: RedividedHamiltonian, l: int, t: float) -> np.ndarray:
     """Order-l term as the top-right block of the stacked bidiagonal exponential."""
     if l < 1:
         raise ValueError("order must be >= 1")
-    if (l + 1) * m.dim > block_budget:
-        raise BudgetExceededError(
-            f"block matrix of side {(l + 1) * m.dim} exceeds budget {block_budget}"
-        )
     return _block_top_row(m.shifted_energies, m.offdiagonal, l, float(t))[l]
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from divexp import SplitHamiltonian, redivide
+from divexp.propagator import _order_matrix_tuples
 
 
 def random_offdiag_model(rng, dim, energy_spread=3.0, coupling=0.3, min_gap=0.3):
@@ -24,6 +25,11 @@ def random_hermitian_model(rng, dim, energy_spread=3.0, coupling=0.5):
     return SplitHamiltonian(
         energies=rng.uniform(0.0, energy_spread, size=dim), perturbation=h
     )
+
+
+def tuples_term(m, l, t):
+    """Order-l term on the tuple route, whatever route series_term would take."""
+    return _order_matrix_tuples(m.shifted_energies, m.offdiagonal, l, t)
 
 
 @pytest.fixture

@@ -10,7 +10,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conftest import random_hermitian_model, random_offdiag_model
+from conftest import random_hermitian_model, random_offdiag_model, tuples_term
 from divexp import (
     NodeList,
     SplitHamiltonian,
@@ -115,7 +115,7 @@ def test_criterion_04_order_equivalence():
             m = redivide(random_offdiag_model(rng, dim, coupling=0.5))
             t = float(rng.uniform(0.3, 1.0))
             for l in range(1, 5):
-                a = series_term(m, l, t, method="tuples").matrix
+                a = tuples_term(m, l, t)
                 scale = max(np.linalg.norm(a), 1e-30)
                 b = oracle_block_order(m, l, t)
                 assert np.linalg.norm(a - b) / scale < 1e-10
@@ -144,14 +144,12 @@ def test_criterion_05_contraction_completeness():
                 (3, third_order_pieces(m, t)),
             ):
                 total = sum(p.matrix for p in pieces)
-                for method in ("tuples", "block"):
-                    term = (
-                        series_term(m, l, t, method=method).matrix
-                        if method == "tuples"
-                        else oracle_block_order(m, l, t)
-                    )
+                for route, term in (
+                    ("tuples", tuples_term(m, l, t)),
+                    ("block", oracle_block_order(m, l, t)),
+                ):
                     rel = np.linalg.norm(total - term) / np.linalg.norm(term)
-                    assert rel < 1e-10, f"l={l} {method}: {rel:.3e}"
+                    assert rel < 1e-10, f"l={l} {route}: {rel:.3e}"
 
 
 def test_criterion_06_resummed_aggregates():

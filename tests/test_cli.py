@@ -1,12 +1,14 @@
+import inspect
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from divexp import TwoStateExact, dump_model
+from divexp import TwoStateExact, dump_model, propagator
 from divexp.cli import main
 
 
@@ -136,9 +138,10 @@ def test_bench_small(tmp_path):
     assert rc == 0
     lines = out.read_text().splitlines()
     assert lines[0] == "dim,order_cap,method,wall_time_s,error_vs_oracle,tail_bound"
-    assert len(lines) > 1
+    assert len(lines) == 1 + 2 * 2  # one row per (dim, order)
     for line in lines[1:]:
         cells = line.split(",")
+        assert cells[2] == "tuples"
         float(cells[3])
         float(cells[4])
 
@@ -152,8 +155,8 @@ def test_error_record_on_bad_model(tmp_path, capsys):
     assert record["error"] == "ModelParseError"
 
 
-def test_thread_cap_env(model_path, tmp_path):
-    env = dict(os.environ, DIVEXP_THREADS="2", PYTHONPATH="src")
+def test_module_entry_point(model_path, tmp_path):
+    env = dict(os.environ, PYTHONPATH="src")
     out = subprocess.run(
         [sys.executable, "-m", "divexp.cli", "propagate", "--model", model_path,
          "--t-count", "5", "--t-stop", "2"],
@@ -164,3 +167,48 @@ def test_thread_cap_env(model_path, tmp_path):
     )
     assert out.returncode == 0
     assert out.stdout.startswith("t,gamma")
+
+
+def test_propagate_auto_order_past_cap_is_an_error(model_path, tmp_path, capsys):
+    # |g| = 0.1, so t = 50 puts x = |g| t at 5, far past what order 16 covers
+    out = tmp_path / "prop.csv"
+    rc = run_cli(["propagate", "--model", model_path, "--t-stop", "50",
+                  "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    record = json.loads(err)
+    assert record["error"] == "ValueError"
+    for part in ("x=|g|*t=5", "up to 16", "order 16 is"):
+        assert part in record["message"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decompose", "--format", "csv"],
+        ["decompose", "--seed", "1"],
+        ["transition", "--from", "0", "--to", "1", "--tol", "1e-6"],
+        ["energy", "--level", "0", "--seed", "1"],
+        ["propagate", "--seed", "1"],
+        ["propagate", "--method", "block"],
+    ],
+)
+def test_model_commands_reject_unread_options(model_path, argv):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv[:1] + ["--model", model_path] + argv[1:])
+    assert exc.value.code == 2
+
+
+def test_no_evaluation_knobs(capsys):
+    for name in ("series_order_matrix", "series_term", "truncated_propagator",
+                 "evolve", "oracle_block_order"):
+        params = inspect.signature(getattr(propagator, name)).parameters
+        assert not [p for p in params if p == "method" or p.endswith("budget")], name
+    with pytest.raises(SystemExit):
+        run_cli(["propagate", "--help"])
+    assert "--method" not in capsys.readouterr().out
+    src = pathlib.Path(propagator.__file__).parent
+    for path in src.glob("*.py"):
+        assert "environ" not in path.read_text(), path.name

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_hermitian_model, random_offdiag_model
+from conftest import random_hermitian_model, random_offdiag_model, tuples_term
 from divexp import (
     SplitHamiltonian,
     TwoStateExact,
@@ -53,7 +53,7 @@ def test_second_order_pieces_sum(rng):
     assert c_piece.diag_class == "D" and c_piece.time_class == "te"
     assert n_piece.diag_class == "N" and n_piece.time_class == "e"
     total = c_piece.matrix + n_piece.matrix
-    term = series_term(m, 2, t, method="tuples").matrix
+    term = tuples_term(m, 2, t)
     assert np.linalg.norm(total - term) / np.linalg.norm(term) < 1e-10
 
 
@@ -74,7 +74,7 @@ def test_third_order_pieces_sum(rng):
         pieces = third_order_pieces(m, t)
         assert [p.label for p in pieces] == ["cc", "cn", "nc", "nn,c", "nn,n"]
         total = sum(p.matrix for p in pieces)
-        term = series_term(m, 3, t, method="tuples").matrix
+        term = tuples_term(m, 3, t)
         assert np.linalg.norm(total - term) / np.linalg.norm(term) < 1e-10
 
 
@@ -111,7 +111,7 @@ def test_piece_sums_near_degenerate(rng):
     t = 1.3
     for l, pieces in ((2, second_order_pieces(m, t)), (3, third_order_pieces(m, t))):
         total = sum(p.matrix for p in pieces)
-        term = series_term(m, l, t, method="tuples").matrix
+        term = tuples_term(m, l, t)
         assert np.linalg.norm(total - term) / np.linalg.norm(term) < 1e-10
         # individual pieces stay finite even with the tiny gap
         assert all(np.all(np.isfinite(p.matrix)) for p in pieces)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
-from conftest import random_hermitian_model, random_offdiag_model
+from conftest import random_hermitian_model, random_offdiag_model, tuples_term
 from divexp import (
     BudgetExceededError,
     SplitHamiltonian,
@@ -17,7 +18,14 @@ from divexp import (
     series_term,
     truncated_propagator,
 )
-from divexp.propagator import coupling_strength, series_order_matrix
+from divexp.propagator import (
+    MAX_AUTO_ORDER,
+    _route,
+    _tail_bound,
+    auto_order,
+    coupling_strength,
+    series_order_matrix,
+)
 
 
 def richardson_derivative(f, K, h0=0.05, levels=3):
@@ -66,7 +74,7 @@ def test_series_term_zero_coupling(small_model):
 def test_series_term_paths_agree(rng):
     m = redivide(random_offdiag_model(rng, 3))
     for t in (0.4, 0.7):
-        a = series_term(m, 2, t, method="tuples").matrix
+        a = tuples_term(m, 2, t)
         b = oracle_block_order(m, 2, t)
         assert np.linalg.norm(a - b) < 1e-12
 
@@ -77,7 +85,7 @@ def test_order_equivalence_against_both_oracles(rng):
         m = redivide(random_offdiag_model(rng, dim))
         t = float(rng.uniform(0.3, 1.2))
         for l in range(1, 5):
-            a = series_term(m, l, t, method="tuples").matrix
+            a = tuples_term(m, l, t)
             b = oracle_block_order(m, l, t)
             c = oracle_dyson_order(m, l, t, quad_tol=1e-9)
             scale = max(np.linalg.norm(a), 1e-30)
@@ -187,7 +195,7 @@ def test_oracle_block_high_order(rng):
     m = redivide(random_offdiag_model(rng, 4))
     t = 0.6
     a = oracle_block_order(m, 6, t)
-    b = series_term(m, 6, t, method="tuples").matrix
+    b = tuples_term(m, 6, t)
     assert np.all(np.isfinite(a))
     assert np.linalg.norm(a - b) < 1e-10
     free = redivide(
@@ -258,10 +266,63 @@ def test_redivision_equivalence(rng):
     assert np.linalg.norm(U_raw - exact) < 1e-8
 
 
-def test_budget_errors(rng):
-    m = redivide(random_offdiag_model(rng, 4))
+def test_block_size_guard(rng, monkeypatch):
+    # side (l+1) D = 2048 is the largest block allowed; the stub keeps the
+    # 2048x2048 exponential itself out of the test
+    sides = []
+
+    def fake_expm(M):
+        sides.append(M.shape[0])
+        return np.zeros_like(M)
+
+    monkeypatch.setattr(scipy.linalg, "expm", fake_expm)
+    m = redivide(random_offdiag_model(rng, 512, min_gap=0.0))
+    assert _route(512, 3) == "block"
+    assert series_term(m, 3, 0.5).matrix.shape == (512, 512)
+    assert sides == [2048]
+    m = redivide(random_offdiag_model(rng, 513, min_gap=0.0))
     with pytest.raises(BudgetExceededError) as exc:
-        series_term(m, 6, 0.5, method="tuples", tuple_budget=10)
-    assert "block" in str(exc.value)
+        series_term(m, 3, 0.5)
+    assert "2052" in str(exc.value)
     with pytest.raises(BudgetExceededError):
-        series_term(m, 6, 0.5, method="block", block_budget=8)
+        oracle_block_order(m, 3, 0.5)
+    assert sides == [2048]
+
+
+def test_route_pins():
+    # the rule's edges: tuples while l == 1 or D^(l-2) <= (l+1)^2
+    pins = [
+        (16, 3, "tuples"), (17, 3, "block"),
+        (5, 4, "tuples"), (6, 4, "block"),
+        (3, 5, "tuples"), (4, 5, "block"),
+        (2048, 1, "tuples"), (2048, 2, "tuples"),
+    ]
+    # benchmark shapes: grid, matrix, decompose, the improved secular fit
+    pins += [(d, l, "block") for d in (6, 8, 10) for l in range(10, 16)]
+    pins += [(d, l, "block") for d in (48, 64, 96) for l in (6, 8)]
+    pins += [(d, l, "tuples") for d in (8, 12, 16) for l in (2, 3)]
+    pins += [(5, l, "tuples") for l in range(1, 4)]
+    for dim, l, route in pins:
+        assert _route(dim, l) == route, (dim, l)
+
+
+def test_coupling_strength_is_exact(rng):
+    m = redivide(random_offdiag_model(rng, 48, min_gap=0.0))
+    want = np.linalg.svd(m.offdiagonal, compute_uv=False)[0]
+    assert abs(coupling_strength(m) - want) <= 1e-13 * want
+
+
+def test_auto_order_cap():
+    ts = TwoStateExact(0.0, 1.0, 0.1)
+    m = redivide(ts.to_split_hamiltonian())
+    g = coupling_strength(m)
+    tol = 1e-10
+    # the largest x at which order MAX_AUTO_ORDER still beats tol
+    lo, hi = 0.0, 10.0
+    for _ in range(60):
+        mid = (lo + hi) / 2.0
+        lo, hi = (mid, hi) if _tail_bound(mid, MAX_AUTO_ORDER) < tol else (lo, mid)
+    assert _tail_bound(0.999 * lo, MAX_AUTO_ORDER - 1) >= tol
+    assert auto_order(m, 0.999 * lo / g, tol) == MAX_AUTO_ORDER
+    with pytest.raises(ValueError, match=f"up to {MAX_AUTO_ORDER}"):
+        auto_order(m, 1.001 * lo / g, tol)
