@@ -9,7 +9,11 @@ whose top block row carries every order at once (cost ~ ((l+1) D)^3).  The
 route is fixed by the dimension D and the order l: tuples when l == 1 or
 D^(l-2) <= (l+1)^2, the block exponential otherwise.  The block route refuses
 matrices of side (l+1) D above MAX_BLOCK_SIDE = 2048 with
-BudgetExceededError.  Three independent oracles (exact eigensolve,
+BudgetExceededError.  evolve always takes the block route: the generator A
+does not depend on t, so one exponential exp(h A) steps the state across an
+evenly spaced time grid, and each time off that grid costs one more
+exponential; it raises BudgetExceededError whenever (L+1) D > 2048, at any
+L.  Three independent oracles (exact eigensolve,
 integrated interaction-picture recurrence, block exponential) cross-check
 the assembly.
 """
@@ -118,21 +122,32 @@ def _order_matrix_tuples(energies, coupling, l, t):
     return out
 
 
-def _block_top_row(energies, coupling, L, t):
-    """Top block row of the stacked bidiagonal exponential: orders 0..L."""
+def _generator(energies, coupling, L):
+    """Block-bidiagonal generator A = -i (I ⊗ diag(E) + S ⊗ g) of orders 0..L.
+
+    Block (i, i + j) of exp(t A) is the order-j term at time t.
+    """
     dim = energies.size
     side = (L + 1) * dim
     if side > MAX_BLOCK_SIDE:
         raise BudgetExceededError(
             f"block matrix of side {side} exceeds {MAX_BLOCK_SIDE}"
         )
-    M = np.zeros((side, side), dtype=complex)
-    h0 = -1j * t * np.diag(energies.astype(complex))
-    v = -1j * t * coupling
+    A = np.zeros((side, side), dtype=complex)
+    h0 = -1j * np.diag(energies.astype(complex))
+    v = -1j * coupling
     for j in range(L + 1):
-        M[j * dim : (j + 1) * dim, j * dim : (j + 1) * dim] = h0
+        A[j * dim : (j + 1) * dim, j * dim : (j + 1) * dim] = h0
         if j < L:
-            M[j * dim : (j + 1) * dim, (j + 1) * dim : (j + 2) * dim] = v
+            A[j * dim : (j + 1) * dim, (j + 1) * dim : (j + 2) * dim] = v
+    return A
+
+
+def _block_top_row(energies, coupling, L, t):
+    """Top block row of the stacked bidiagonal exponential: orders 0..L."""
+    dim = energies.size
+    M = _generator(energies, coupling, L)
+    M *= t  # in place: no second block-sized array
     E = scipy.linalg.expm(M)
     return [E[0:dim, j * dim : (j + 1) * dim] for j in range(L + 1)]
 
@@ -205,15 +220,40 @@ def auto_order(m: RedividedHamiltonian, t_max: float, tol: float) -> int:
 
 
 def evolve(m: RedividedHamiltonian, psi0: StateVector, times, L: int) -> EvolutionResult:
-    """Amplitudes of the truncated evolution at each requested time."""
+    """Amplitudes of the truncated evolution at each requested time.
+
+    The amplitude at t is the top block of exp(t A) w, with A the generator
+    of orders 0..L and w = (psi0, .., psi0).  One exponential of h A, h the
+    mean spacing of times, walks exp(t_0 A) w across the points
+    s_k = t_0 + k h; a time t_k other than s_k takes one more exponential of
+    (t_k - s_k) A.  On an np.linspace grid that is at most the last point,
+    off by an ulp.
+    """
     times = np.asarray(times, dtype=float).reshape(-1)
     if times.size < 1 or not np.all(np.isfinite(times)):
         raise ValueError("times must be a finite non-empty sequence")
     if psi0.dim != m.dim:
         raise ValueError("state dimension does not match model")
-    props = [truncated_propagator(m, L, t) for t in times]
-    amps = np.array([U.matrix @ psi0.amplitudes for U in props])
-    tails = np.array([U.tail_bound for U in props])
+    if L < 0:
+        raise ValueError("order cap must be >= 0")
+    A = _generator(m.shifted_energies, m.offdiagonal, L)
+    w = np.tile(psi0.amplitudes, L + 1)
+
+    def advance(v, dt):
+        return v if dt == 0 else scipy.linalg.expm(dt * A) @ v
+
+    t0 = times[0]
+    h = (times[-1] - t0) / (times.size - 1) if times.size > 1 else 0.0
+    step = scipy.linalg.expm(h * A) if h else None
+    v = advance(w, t0)
+    amps = np.empty((times.size, m.dim), dtype=complex)
+    for k, t in enumerate(times):
+        if k and h:
+            v = step @ v
+        # exp(0 A) = I: a t = 0 row is psi0 exactly wherever it sits
+        amps[k] = (w if t == 0 else advance(v, t - (t0 + k * h)))[: m.dim]
+    g = coupling_strength(m)
+    tails = np.array([_tail_bound(g * abs(t), L) for t in times])
     drift = np.abs(np.linalg.norm(amps, axis=1) - 1.0)
     return EvolutionResult(
         times=times, amplitudes=amps, order_cap=L, tail_bounds=tails, norm_drift=drift

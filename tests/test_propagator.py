@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -18,6 +20,7 @@ from divexp import (
     series_term,
     truncated_propagator,
 )
+from divexp import propagator
 from divexp.propagator import (
     MAX_AUTO_ORDER,
     _route,
@@ -161,6 +164,80 @@ def test_evolve_two_state_matches_exact_probability():
     for k, t in enumerate(times):
         p = abs(res.amplitudes[k, 1]) ** 2
         assert abs(p - exact_transition(ts, t)) <= max(res.tail_bounds[k] * 3, 1e-12)
+
+
+@pytest.mark.parametrize(
+    "x_times, L, coupled",
+    [
+        ([3.0, -1.0, 2.0, 0.0, 0.5, 3.0, -4.0, 5.0], 8, True),  # unsorted, repeated
+        ([-5.0, -2.5, 0.0, 2.5, 5.0], 8, True),  # negative, t = 0 inside the grid
+        ([0.0, 0.01, 0.3, 1.7, 4.9], 10, True),  # non-uniform
+        (np.linspace(0.4, 5.0, 31), 12, True),  # grid with t_start != 0
+        (np.linspace(0.0, 5.0, 31), 12, True),
+        ([2.7], 6, True),
+        (np.linspace(0.0, 5.0, 11), 0, True),
+        ([1.0, -3.0, 0.0, 5.0], 6, False),
+    ],
+)
+def test_evolve_matches_per_time_propagator(rng, x_times, L, coupled):
+    model = random_offdiag_model(rng, 5, min_gap=0.1)
+    if not coupled:
+        model = SplitHamiltonian(
+            energies=model.energies, perturbation=np.zeros_like(model.perturbation)
+        )
+    m = redivide(model)
+    psi0 = basis_state(5, 2)
+    # x = ||g|| t <= 5; the free model takes the same times in units of 1
+    times = np.asarray(x_times, dtype=float) / (coupling_strength(m) or 1.0)
+    res = evolve(m, psi0, times, L)
+    for k, t in enumerate(times):
+        U = truncated_propagator(m, L, t)
+        assert np.max(np.abs(res.amplitudes[k] - U.matrix @ psi0.amplitudes)) < 1e-12
+        assert res.tail_bounds[k] == U.tail_bound
+        if t == 0:
+            assert np.array_equal(res.amplitudes[k], psi0.amplitudes)
+    assert np.array_equal(res.times, times) and res.order_cap == L
+
+
+def test_evolve_rejects_negative_order_cap(small_redivided):
+    with pytest.raises(ValueError, match="order cap must be >= 0"):
+        evolve(small_redivided, basis_state(3, 0), [0.0, 1.0], L=-1)
+
+
+def test_evolve_exponential_count(rng, monkeypatch):
+    # one step exponential walks a linspace grid; a start off 0 and a last
+    # point an ulp off its reference take one more each
+    calls = []
+    expm = scipy.linalg.expm
+
+    def counting_expm(M):
+        calls.append(M.shape[0])
+        return expm(M)
+
+    monkeypatch.setattr(propagator.scipy.linalg, "expm", counting_expm)
+    m = redivide(random_offdiag_model(rng, 8, min_gap=0.05))
+    psi0 = basis_state(8, 0)
+    T = 1.3 / coupling_strength(m)
+    for start, most in ((0.0, 2), (0.4, 3)):
+        calls.clear()
+        evolve(m, psi0, np.linspace(start, T, 51), 12)
+        assert 1 <= len(calls) <= most, (start, calls)
+        assert set(calls) == {13 * 8}
+
+
+def test_evolve_size_guard(rng):
+    # (L+1) D = 2049: refused before the block generator is allocated, also
+    # at L <= 2 where the per-time tuple route needed no block
+    m = redivide(random_offdiag_model(rng, 683, min_gap=0.0))
+    psi0 = basis_state(683, 0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError, match="2049"):
+            evolve(m, psi0, np.linspace(0.0, 1.0, 51), 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_oracle_eigensolve_basics(rng):
