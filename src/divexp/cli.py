@@ -9,6 +9,7 @@ keys.  Failures exit nonzero with a machine-readable error record on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -27,16 +28,17 @@ from .model import (
 )
 
 
-def _fmt(x) -> str:
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return format(float(x), ".17g")
-
-
 def _write_csv(path, header, rows):
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(x) if not isinstance(x, str) else x for x in row))
+    if rows:
+        # one format per table, from the types of the first row
+        fmt = ",".join(
+            "%s" if isinstance(x, str)
+            else "%d" if isinstance(x, (int, np.integer))
+            else "%.17g"
+            for x in rows[0]
+        )
+        lines += [fmt % tuple(row) for row in rows]
     text = "\n".join(lines) + "\n"
     if path in (None, "-"):
         sys.stdout.write(text)
@@ -169,6 +171,9 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_verify_identity(args) -> int:
+    if not 0.0 <= args.min_gap < 2.0:
+        # nodes are drawn in [-1, 1], so no pair is ever 2 apart
+        raise ValueError(f"--min-gap must lie in [0, 2), got {args.min_gap}")
     rng = np.random.default_rng(args.seed)
     worst_zero = 0.0
     worst_one = 0.0
@@ -176,7 +181,9 @@ def cmd_verify_identity(args) -> int:
     while trials < args.trials:
         l = int(rng.integers(1, args.l_max + 1))
         nodes = rng.uniform(-1.0, 1.0, size=l + 1)
-        if np.min(np.abs(nodes[:, None] - nodes[None, :]) + np.eye(l + 1)) < args.min_gap:
+        gaps = np.abs(nodes[:, None] - nodes[None, :])
+        np.fill_diagonal(gaps, np.inf)
+        if np.min(gaps) < args.min_gap:
             continue
         trials += 1
         nl = NodeList(tuple(nodes))
@@ -270,6 +277,7 @@ def cmd_bench(args) -> int:
     return 0
 
 
+@functools.cache  # built once per process, however often main runs
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="divexp",

@@ -10,9 +10,10 @@ coupling, which keeps adjacent indices distinct) is marked "k" and not split.
 This reproduces exactly 2 / 5 / 15 / 52 / 203 nontrivial pieces for orders
 2 through 6.
 
-Pieces are evaluated with the same confluent divided-difference machinery as
-the propagator, so repeated nodes (the delta-contracted indices) are handled
-as limits rather than 0/0.
+Each piece is a tuple sum with its equal-index classes and unequal pairs,
+evaluated by the propagator's tuple-sum kernel on confluent divided
+differences, so repeated nodes (the delta-contracted indices) are handled as
+limits rather than 0/0.
 """
 
 from __future__ import annotations
@@ -22,9 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coeff import dd_exp_batch
+# unused here; kept because perfbench/spans.py wraps contraction.dd_exp_batch
+from .coeff import dd_exp_batch  # noqa: F401
 from .model import RedividedHamiltonian, SplitHamiltonian, StateVector
-from .propagator import series_order_matrix
+from .propagator import _tuple_sum, series_order_matrix
 
 MIN_PATTERN_ORDER = 2
 MAX_PATTERN_ORDER = 6
@@ -193,74 +195,35 @@ def enumerate_patterns(l: int) -> list[ContractionPattern]:
 # ---------------------------------------------------------------------------
 
 
-def _constrained_sum(energies, coupling, idx_template, free_axes, ne_checks, t):
-    """Sum dd * coupling product over tuples from an index template.
-
-    idx_template : (l+1,) int array with -1 at positions indexed by free_axes;
-    free positions run over all levels, then rows failing ``ne_checks``
-    (pairs of tuple positions required unequal) are dropped.
-    """
-    dim = energies.size
-    l = idx_template.size - 1
-    n_free = len(free_axes)
-    if n_free:
-        grid = np.indices((dim,) * n_free).reshape(n_free, -1).T
-    else:
-        grid = np.zeros((1, 0), dtype=np.intp)
-    idx = np.tile(idx_template, (grid.shape[0], 1))
-    for col, pos in enumerate(free_axes):
-        for p in pos:
-            idx[:, p] = grid[:, col]
-    keep = np.ones(idx.shape[0], dtype=bool)
-    for i, j in ne_checks:
-        keep &= idx[:, i] != idx[:, j]
-    idx = idx[keep]
-    if idx.shape[0] == 0:
-        return 0.0 + 0.0j
-    weights = np.ones(idx.shape[0], dtype=complex)
-    for j in range(l):
-        weights *= coupling[idx[:, j], idx[:, j + 1]]
-    nz = weights != 0
-    if not np.any(nz):
-        return 0.0 + 0.0j
-    idx, weights = idx[nz], weights[nz]
-    vals, _, _ = dd_exp_batch(energies[idx], t)
-    return complex(np.sum(weights * vals))
-
-
 def pattern_piece_matrix(
     energies, coupling, pattern: ContractionPattern, t: float
 ) -> np.ndarray:
     """Matrix of one decomposition piece on a raw (energies, coupling) split."""
-    energies = np.asarray(energies, dtype=float)
-    coupling = np.asarray(coupling, dtype=complex)
-    dim = energies.size
-    l = pattern.order
-    class_of = np.empty(l + 1, dtype=int)
-    for cid, members in enumerate(pattern.classes):
-        for m in members:
-            class_of[m] = cid
-    c_first = class_of[0]
-    c_last = class_of[l]
-    interior = [
-        tuple(members)
-        for cid, members in enumerate(pattern.classes)
-        if cid not in (c_first, c_last)
+    ne_pairs = pattern.ne_pairs
+    if pattern.diag_class == "N":
+        # first and last index differ even where a diagonal coupling would
+        # otherwise join them
+        ne_pairs += ((0, pattern.order),)
+    return _tuple_sum(
+        np.asarray(energies, dtype=float),
+        np.asarray(coupling, dtype=complex),
+        pattern.classes,
+        ne_pairs,
+        t,
+    )
+
+
+def _pattern_pieces(m: RedividedHamiltonian, t: float, order: int) -> list[TermPiece]:
+    return [
+        TermPiece(
+            label=str(p),
+            matrix=pattern_piece_matrix(m.shifted_energies, m.offdiagonal, p, t),
+            time_class=p.time_class,
+            diag_class=p.diag_class,
+            pattern=p,
+        )
+        for p in enumerate_patterns(order)
     ]
-    out = np.zeros((dim, dim), dtype=complex)
-    diagonal = pattern.diag_class == "D"
-    for g in range(dim):
-        gps = [g] if diagonal else [x for x in range(dim) if x != g]
-        for gp in gps:
-            template = np.full(l + 1, -1, dtype=np.intp)
-            for p in pattern.classes[c_first]:
-                template[p] = g
-            for p in pattern.classes[c_last]:
-                template[p] = gp
-            out[g, gp] = _constrained_sum(
-                energies, coupling, template, interior, pattern.ne_pairs, t
-            )
-    return out
 
 
 def second_order_pieces(m: RedividedHamiltonian, t: float) -> tuple[TermPiece, TermPiece]:
@@ -269,31 +232,13 @@ def second_order_pieces(m: RedividedHamiltonian, t: float) -> tuple[TermPiece, T
     The contraction piece carries the secular (-i t) part and the squared
     denominators; their sum equals the plain order-2 series term.
     """
-    pieces = [
-        TermPiece(
-            label=str(p),
-            matrix=pattern_piece_matrix(m.shifted_energies, m.offdiagonal, p, t),
-            time_class=p.time_class,
-            diag_class=p.diag_class,
-            pattern=p,
-        )
-        for p in enumerate_patterns(2)
-    ]
-    return pieces[0], pieces[1]
+    c_piece, n_piece = _pattern_pieces(m, t, 2)
+    return c_piece, n_piece
 
 
 def third_order_pieces(m: RedividedHamiltonian, t: float) -> list[TermPiece]:
     """The five order-3 pieces (cc, cn, nc, nn-c, nn-n), summing to the term."""
-    return [
-        TermPiece(
-            label=str(p),
-            matrix=pattern_piece_matrix(m.shifted_energies, m.offdiagonal, p, t),
-            time_class=p.time_class,
-            diag_class=p.diag_class,
-            pattern=p,
-        )
-        for p in enumerate_patterns(3)
-    ]
+    return _pattern_pieces(m, t, 3)
 
 
 def mixed_second_order_pieces(m: SplitHamiltonian, t: float) -> list[TermPiece]:
@@ -301,41 +246,26 @@ def mixed_second_order_pieces(m: SplitHamiltonian, t: float) -> list[TermPiece]:
 
     Splitting each coupling factor into its diagonal part h and off-diagonal
     part g yields four pieces (hh, hg, gh, gg) whose sum is the order-2 term
-    of the original split.
+    of the original split.  A factor V[a, b] of the raw coupling is h when
+    a == b and g otherwise, so each piece is a tuple sum over V with the
+    matching equal and unequal index positions.
     """
     e = np.asarray(m.energies, dtype=float)
-    v = m.perturbation
-    h = np.diag(v).real
-    g = v.copy()
-    np.fill_diagonal(g, 0.0)
-    dim = e.size
-
-    hh = np.zeros((dim, dim), dtype=complex)
-    hg = np.zeros((dim, dim), dtype=complex)
-    gh = np.zeros((dim, dim), dtype=complex)
-    gg = np.zeros((dim, dim), dtype=complex)
-    for a in range(dim):
-        vals, _, _ = dd_exp_batch(np.array([[e[a]] * 3]), t)
-        hh[a, a] = h[a] * h[a] * vals[0]
-        for b in range(dim):
-            if b == a:
-                continue
-            vals, _, _ = dd_exp_batch(np.array([[e[a], e[a], e[b]]]), t)
-            hg[a, b] = h[a] * g[a, b] * vals[0]
-            vals, _, _ = dd_exp_batch(np.array([[e[a], e[b], e[b]]]), t)
-            gh[a, b] = g[a, b] * h[b] * vals[0]
-    for a in range(dim):
-        for b in range(dim):
-            nodes = np.stack(
-                [np.full(dim, e[a]), e, np.full(dim, e[b])], axis=1
-            )
-            vals, _, _ = dd_exp_batch(nodes, t)
-            gg[a, b] = np.sum(g[a, :] * g[:, b] * vals)
+    v = np.asarray(m.perturbation, dtype=complex)
+    shapes = (
+        ("hh", ((0, 1, 2),), (), "t2e", "D"),
+        ("hg", ((0, 1), (2,)), ((1, 2),), "te", "N"),
+        ("gh", ((0,), (1, 2)), ((0, 1),), "te", "N"),
+        ("gg", ((0,), (1,), (2,)), ((0, 1), (1, 2)), "te", None),
+    )
     return [
-        TermPiece(label="hh", matrix=hh, time_class="t2e", diag_class="D"),
-        TermPiece(label="hg", matrix=hg, time_class="te", diag_class="N"),
-        TermPiece(label="gh", matrix=gh, time_class="te", diag_class="N"),
-        TermPiece(label="gg", matrix=gg, time_class="te", diag_class=None),
+        TermPiece(
+            label=label,
+            matrix=_tuple_sum(e, v, classes, ne_pairs, t),
+            time_class=time_class,
+            diag_class=diag_class,
+        )
+        for label, classes, ne_pairs, time_class, diag_class in shapes
     ]
 
 

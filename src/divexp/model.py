@@ -161,6 +161,8 @@ class StateVector:
 
 def basis_state(dim: int, index: int) -> StateVector:
     """Unperturbed basis vector |index> as a StateVector."""
+    if not 0 <= index < dim:
+        raise IndexError(f"basis index {index} is outside 0..{dim - 1}")
     a = np.zeros(dim, dtype=complex)
     a[index] = 1.0
     return StateVector(a)

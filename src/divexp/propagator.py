@@ -3,19 +3,21 @@
 The order-l contribution to <g| exp(-i H t) |g'> is a sum over index tuples
 (g_1 .. g_{l+1}) of the exponential divided difference over the corresponding
 energy tuple times the product of coupling matrix elements along the tuple.
-Two evaluation routes give the same terms: direct tuple enumeration (cost
-~ D^(l-1) divided differences) and the block-bidiagonal matrix exponential
-whose top block row carries every order at once (cost ~ ((l+1) D)^3).  The
-route is fixed by the dimension D and the order l: tuples when l == 1 or
-D^(l-2) <= (l+1)^2, the block exponential otherwise.  The block route refuses
-matrices of side (l+1) D above MAX_BLOCK_SIDE = 2048 with
-BudgetExceededError.  evolve always takes the block route: the generator A
-does not depend on t, so one exponential exp(h A) steps the state across an
-evenly spaced time grid, and each time off that grid costs one more
-exponential; it raises BudgetExceededError whenever (L+1) D > 2048, at any
-L.  Three independent oracles (exact eigensolve,
-integrated interaction-picture recurrence, block exponential) cross-check
-the assembly.
+One private kernel, _tuple_sum, evaluates every such sum: the series terms of
+the tuple route and, with some indices forced equal and others unequal, the
+contraction and mixed pieces of divexp.contraction.  It makes one dd_exp_batch
+call per row of the result, one node list per distinct node multiset.  Two
+evaluation routes give the same terms: direct tuple enumeration (cost ~
+D^(l+1) tuples) and the block-bidiagonal matrix exponential whose top block
+row carries every order at once (cost ~ ((l+1) D)^3).  The route is fixed by
+the dimension D and the order l: tuples when l == 1 or D^(l-2) <= (l+1)^2, the
+block exponential otherwise.  The block route refuses matrices of side (l+1) D
+above MAX_BLOCK_SIDE = 2048 with BudgetExceededError.  evolve always takes the
+block route: the generator A does not depend on t, so one exponential exp(h A)
+steps the state across an evenly spaced time grid, and each time off that grid
+costs one more exponential; it raises BudgetExceededError whenever (L+1) D >
+2048, at any L.  Three independent oracles (exact eigensolve, integrated
+interaction-picture recurrence, block exponential) cross-check the assembly.
 """
 
 from __future__ import annotations
@@ -88,38 +90,50 @@ def _route(dim: int, l: int) -> str:
     return "block"
 
 
-def _order_matrix_tuples(energies, coupling, l, t):
-    dim = energies.size
-    out = np.zeros((dim, dim), dtype=complex)
-    if l == 1:
-        nodes = np.stack(
-            [np.repeat(energies, dim), np.tile(energies, dim)], axis=1
-        )
-        vals, _, _ = dd_exp_batch(nodes, t)
-        return vals.reshape(dim, dim) * coupling
+def _tuple_sum(energies, coupling, classes, ne_pairs, t):
+    """Sum over index tuples of the divided difference times the coupling product.
 
-    interior = np.indices((dim,) * (l - 1)).reshape(l - 1, -1).T  # (N, l-1)
-    n_rows = interior.shape[0]
-    for g in range(dim):
-        for gp in range(dim):
-            idx = np.empty((n_rows, l + 1), dtype=np.intp)
-            idx[:, 0] = g
-            idx[:, 1:l] = interior
-            idx[:, l] = gp
-            weights = np.ones(n_rows, dtype=complex)
-            for j in range(l):
-                weights *= coupling[idx[:, j], idx[:, j + 1]]
-            keep = weights != 0
-            if not np.any(keep):
-                continue
-            idx = idx[keep]
-            weights = weights[keep]
-            # one divided difference per distinct node multiset
-            key = np.sort(idx, axis=1)
-            uniq, inv = np.unique(key, axis=0, return_inverse=True)
-            vals, _, _ = dd_exp_batch(energies[uniq], t)
-            out[g, gp] = np.sum(weights * vals[inv])
+    Tuple positions 0..l in one group of ``classes`` share one index, and the
+    positions of each pair in ``ne_pairs`` must differ.  Entry (a, b) sums over
+    the tuples that start at a and end at b.  Each row a takes one
+    dd_exp_batch call, one row of nodes per distinct node multiset, over at
+    most D^(len(classes) - 1) tuples.
+    """
+    dim = energies.size
+    l = sum(map(len, classes)) - 1
+    classes = sorted(classes, key=lambda c: 0 not in c)  # the class of a first
+    class_of = np.empty(l + 1, dtype=np.intp)
+    for cid, members in enumerate(classes):
+        class_of[list(members)] = cid
+    n_free = len(classes) - 1
+    free = np.indices((dim,) * n_free).reshape(n_free, dim**n_free).T
+    # a sorted tuple read as one base-D integer, while that fits in int64
+    digits = dim ** np.arange(l, -1, -1) if dim ** (l + 1) < 2**63 else None
+    out = np.zeros((dim, dim), dtype=complex)
+    for a in range(dim):
+        idx = np.column_stack([np.full(len(free), a), free])[:, class_of]
+        for i, j in ne_pairs:
+            idx = idx[idx[:, i] != idx[:, j]]
+        weights = np.ones(len(idx), dtype=complex)
+        for j in range(l):
+            weights *= coupling[idx[:, j], idx[:, j + 1]]
+        nz = weights != 0
+        if not np.any(nz):
+            continue
+        idx, weights = idx[nz], weights[nz]
+        rows = np.sort(idx, axis=1)
+        key = rows if digits is None else rows @ digits
+        _, first, inv = np.unique(key, axis=0, return_index=True, return_inverse=True)
+        vals, _, _ = dd_exp_batch(energies[rows[first]], t)
+        terms = weights * vals[inv.reshape(-1)]
+        out[a] = np.bincount(idx[:, l], terms.real, dim) + 1j * np.bincount(
+            idx[:, l], terms.imag, dim
+        )
     return out
+
+
+def _order_matrix_tuples(energies, coupling, l, t):
+    return _tuple_sum(energies, coupling, [(p,) for p in range(l + 1)], (), t)
 
 
 def _generator(energies, coupling, L):

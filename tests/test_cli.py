@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from divexp import TwoStateExact, dump_model, propagator
-from divexp.cli import main
+from divexp.cli import _write_csv, main
 
 
 @pytest.fixture
@@ -121,6 +121,40 @@ def test_verify_identity(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["pass"] is True
     assert doc["max_abs_below_order"] < 1e-9
+
+
+def test_verify_identity_min_gap_above_one(tmp_path):
+    out = tmp_path / "id.json"
+    rc = run_cli(["verify-identity", "--min-gap", "1.5", "--l-max", "1",
+                  "--trials", "5", "--out", str(out)])
+    assert rc == 0
+    doc = json.loads(out.read_text())
+    assert doc["trials"] == 5 and doc["pass"] is True
+
+
+@pytest.mark.parametrize("gap", ["2", "-0.5", "nan"])
+def test_verify_identity_rejects_unreachable_min_gap(gap, capsys):
+    assert run_cli(["verify-identity", "--min-gap", gap, "--trials", "5"]) == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "ValueError" and "--min-gap" in record["message"]
+
+
+def test_propagate_rejects_negative_initial_level(model_path, capsys):
+    assert run_cli(["propagate", "--model", model_path, "--initial", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "IndexError"
+
+
+def test_csv_cells_match_repr_17g(capsys):
+    floats = [-0.0, 0.0, float("nan"), float("inf"), -float("inf"), 5e-324,
+              1.0 / 3.0, np.float64(-2.5e300), 7.0]
+    rows = [(float(x), k, np.int64(k), "tuples") for k, x in enumerate(floats)]
+    _write_csv(None, ["x", "k", "n", "s"], rows)
+    lines = capsys.readouterr().out.split("\n")
+    assert lines[0] == "x,k,n,s" and lines[-1] == ""
+    for line, (x, k, _, s) in zip(lines[1:-1], rows, strict=True):
+        assert line == f"{format(float(x), '.17g')},{k},{k},{s}"
 
 
 def test_demo(capsys):

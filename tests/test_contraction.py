@@ -19,7 +19,9 @@ from divexp import (
     series_term,
     third_order_pieces,
 )
-from divexp.propagator import series_order_matrix
+from divexp import propagator
+from divexp.contraction import pattern_piece_matrix
+from divexp.propagator import oracle_block_order, series_order_matrix
 
 EXPECTED_COUNTS = {2: 2, 3: 5, 4: 15, 5: 52, 6: 203}
 
@@ -106,15 +108,45 @@ def test_piece_sums_near_degenerate(rng):
     h = (h + h.conj().T) / 2.0
     np.fill_diagonal(h, 0.0)
     h *= 0.3
-    model = SplitHamiltonian(energies=[0.0, 1e-4, 1.1, 2.4], perturbation=h)
-    m = redivide(model)
     t = 1.3
-    for l, pieces in ((2, second_order_pieces(m, t)), (3, third_order_pieces(m, t))):
-        total = sum(p.matrix for p in pieces)
-        term = tuples_term(m, l, t)
-        assert np.linalg.norm(total - term) / np.linalg.norm(term) < 1e-10
-        # individual pieces stay finite even with the tiny gap
-        assert all(np.all(np.isfinite(p.matrix)) for p in pieces)
+    # 1e-9 is the level gap of the benchmark's near-degenerate decompose models
+    for gap in (1e-4, 1e-9):
+        model = SplitHamiltonian(energies=[0.0, gap, 1.1, 2.4], perturbation=h)
+        m = redivide(model)
+        for l, pieces in ((2, second_order_pieces(m, t)), (3, third_order_pieces(m, t))):
+            total = sum(p.matrix for p in pieces)
+            for term in (tuples_term(m, l, t), oracle_block_order(m, l, t)):
+                assert np.linalg.norm(total - term) / np.linalg.norm(term) < 1e-10
+            # individual pieces stay finite even with the tiny gap
+            assert all(np.all(np.isfinite(p.matrix)) for p in pieces)
+
+
+def test_tuple_sums_take_one_divided_difference_call_per_row(rng, monkeypatch):
+    calls = []
+    real = propagator.dd_exp_batch
+
+    def counting(nodes, t):
+        calls.append(len(nodes))
+        return real(nodes, t)
+
+    monkeypatch.setattr(propagator, "dd_exp_batch", counting)
+    dim = 6
+    m = redivide(random_offdiag_model(rng, dim, min_gap=0.1))
+    e, g = m.shifted_energies, m.offdiagonal
+    for pattern in enumerate_patterns(3):
+        calls.clear()
+        pattern_piece_matrix(e, g, pattern, 0.8)
+        assert 0 < len(calls) <= dim, str(pattern)
+    for l in (1, 2, 3):
+        assert propagator._route(dim, l) == "tuples"
+        calls.clear()
+        series_order_matrix(e, g, l, 0.8)
+        assert 0 < len(calls) <= dim, l
+        # one node list per distinct node multiset: a row holds (D - 1)^l
+        # tuples with a non-zero coupling product, and from order 2 on
+        # several of them share a multiset
+        if l > 1:
+            assert max(calls) < (dim - 1) ** l
 
 
 def test_third_order_regrouping_by_class(rng):
@@ -139,8 +171,6 @@ def test_third_order_regrouping_by_class(rng):
 
 
 def _piece_at(m, pattern, t):
-    from divexp.contraction import pattern_piece_matrix
-
     return pattern_piece_matrix(m.shifted_energies, m.offdiagonal, pattern, t)
 
 
@@ -173,6 +203,11 @@ def test_mixed_second_order_pieces(rng):
     total = sum(p.matrix for p in pieces)
     term = series_order_matrix(model.energies, model.perturbation, 2, t)
     assert np.linalg.norm(total - term) / np.linalg.norm(term) < 1e-10
+    # N pattern pieces keep a zero diagonal on a coupling that carries one
+    for p in enumerate_patterns(3):
+        if p.diag_class == "N":
+            mat = pattern_piece_matrix(model.energies, model.perturbation, p, t)
+            assert np.all(np.diag(mat) == 0), str(p)
 
 
 def test_redivided_closed_form_order2(rng):

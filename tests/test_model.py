@@ -11,6 +11,7 @@ from divexp import (
     ModelValidationError,
     SplitHamiltonian,
     StateVector,
+    basis_state,
     dump_model,
     load_model,
     redivide,
@@ -125,6 +126,13 @@ def test_require_nondegenerate():
     near = redivide(load_model(model_bytes([0.0, 1e-9], np.zeros((2, 2)))))
     with pytest.raises(DegeneracyError):
         require_nondegenerate(near, 1e-6)
+
+
+def test_basis_state_index_range():
+    assert basis_state(3, 2).amplitudes[2] == 1.0
+    for index in (-1, -3, 3):
+        with pytest.raises(IndexError):
+            basis_state(3, index)
 
 
 def test_state_vector_normalization():

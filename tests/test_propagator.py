@@ -96,6 +96,38 @@ def test_order_equivalence_against_both_oracles(rng):
             assert np.linalg.norm(a - c) / scale < 1e-6
 
 
+def test_tuple_route_with_diagonal_coupling(rng):
+    # a raw split whose coupling carries a diagonal: tuples may repeat an
+    # index next to itself, which the redivided models never do
+    model = random_hermitian_model(rng, 4)
+    e, v = model.energies, model.perturbation
+    t = 0.9
+    row = propagator._block_top_row(e, v, 4, t)
+    for l in range(1, 5):
+        assert _route(4, l) == "tuples"
+        got = series_order_matrix(e, v, l, t)
+        assert np.linalg.norm(got - row[l]) / np.linalg.norm(row[l]) < 1e-12, l
+
+
+def test_tuple_sum_past_int64_keys():
+    # at D^(l+1) > 2^63 a sorted tuple no longer fits one int64 key; two
+    # coupled levels among 600 must give the same sum as the pair alone
+    e2 = np.array([0.0, 0.7])
+    v2 = np.array([[0.0, 0.3], [0.3j, 0.0]])
+    dim = 600
+    e = np.concatenate([e2, np.linspace(2.0, 5.0, dim - 2)])
+    v = np.zeros((dim, dim), dtype=complex)
+    v[:2, :2] = v2
+    classes = ((0, 2, 4, 6), (1, 3, 5))
+    assert dim**7 > 2**63
+    big = propagator._tuple_sum(e, v, classes, (), 0.9)
+    small = propagator._tuple_sum(e2, v2, classes, (), 0.9)
+    assert np.any(small != 0)
+    assert np.array_equal(big[:2, :2], small)
+    big[:2, :2] = 0
+    assert not np.any(big)
+
+
 def test_truncated_propagator_order_zero(small_redivided):
     t = 0.8
     U = truncated_propagator(small_redivided, 0, t)
