@@ -59,6 +59,8 @@ def _write_json(path, doc):
 def _times(args) -> np.ndarray:
     if args.t_count < 1:
         raise ValueError("--t-count must be >= 1")
+    if not (np.isfinite(args.t_start) and np.isfinite(args.t_stop)):
+        raise ValueError("--t-start and --t-stop must be finite")
     return np.linspace(args.t_start, args.t_stop, args.t_count)
 
 

@@ -167,11 +167,12 @@ def c_recurrence(nl: NodeList, n: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _expm_batch_bidiagonal(z: np.ndarray, offdiag: complex) -> np.ndarray:
+def _expm_batch_bidiagonal(z: np.ndarray, offdiag: np.ndarray) -> np.ndarray:
     """Top-right entries of expm(diag(z) + offdiag * superdiag(1)) for a batch.
 
-    z : (B, m) complex with mean already removed per row.  Scaling-squaring
-    with a fixed-degree Taylor step; matrices are tiny (m <= ~9) and upper
+    z : (B, m) complex with mean already removed per row; offdiag : (B,)
+    complex, one superdiagonal value per row.  Scaling-squaring with a
+    fixed-degree Taylor step; matrices are tiny (m <= ~9) and upper
     triangular, so plain batched matmuls are accurate and fast.
     """
     B, m = z.shape
@@ -179,7 +180,7 @@ def _expm_batch_bidiagonal(z: np.ndarray, offdiag: complex) -> np.ndarray:
     idx = np.arange(m)
     M[:, idx, idx] = z
     if m > 1:
-        M[:, idx[:-1], idx[1:]] = offdiag
+        M[:, idx[:-1], idx[1:]] = offdiag[:, None]
     # row-sum norm per matrix; scale so the Taylor argument stays <= 1/2
     norm = np.abs(M).sum(axis=2).max(axis=1)
     s = np.ceil(np.log2(np.maximum(norm, 1e-300) / 0.5))
@@ -198,53 +199,48 @@ def _expm_batch_bidiagonal(z: np.ndarray, offdiag: complex) -> np.ndarray:
     return acc[:, 0, m - 1], s
 
 
-def dd_exp_batch(nodes: np.ndarray, t: float):
+def dd_exp_batch(nodes: np.ndarray, t):
     """Vectorized divided differences of exp(-i x t) over many node lists.
 
-    nodes : (B, m) real.  Returns (values (B,), confluent flags (B,),
-    error estimates (B,)).  Rows whose minimum pairwise gap exceeds the
-    cluster tolerance go through the alternating closed sum; clustered or
-    confluent rows go through the bidiagonal matrix exponential.
+    nodes : (B, m) real; t : one time for every row, or one per row, shape
+    (B,).  Returns (values (B,), confluent flags (B,), error estimates
+    (B,)).  Rows whose minimum pairwise gap exceeds the cluster tolerance go
+    through the alternating closed sum; clustered or confluent rows go
+    through the bidiagonal matrix exponential.  A row with m > 1 nodes at
+    t = 0 is the divided difference of a constant: exactly 0, estimate 0.
+    Every row is evaluated on its own, so a batch of per-row times gives
+    bitwise the values of one scalar-time call per distinct time.
     """
     nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
     B, m = nodes.shape
-    t = float(t)
-    values = np.empty(B, dtype=complex)
-    errs = np.empty(B)
+    t = np.full(B, t, dtype=float)
+    values = np.zeros(B, dtype=complex)
+    errs = np.zeros(B)
     if m == 1:
         values[:] = np.exp(-1j * nodes[:, 0] * t)
         errs[:] = _EPS
         return values, np.zeros(B, dtype=bool), errs
-    if t == 0.0:
-        # divided difference of a constant: exactly zero beyond one node
-        values[:] = 0.0
-        errs[:] = 0.0
-        diff = np.abs(nodes[:, :, None] - nodes[:, None, :])
-        iu = np.triu_indices(m, 1)
-        min_gap = diff[:, iu[0], iu[1]].min(axis=1)
-        scale = np.maximum(np.abs(nodes).max(axis=1), 1.0)
-        return values, min_gap <= CLUSTER_RTOL * scale, errs
 
     diff = nodes[:, :, None] - nodes[:, None, :]
-    abs_diff = np.abs(diff)
     iu = np.triu_indices(m, 1)
-    min_gap = abs_diff[:, iu[0], iu[1]].min(axis=1)
+    min_gap = np.abs(diff[:, iu[0], iu[1]]).min(axis=1)
     scale = np.maximum(np.abs(nodes).max(axis=1), 1.0)
     clustered = min_gap <= CLUSTER_RTOL * scale
 
-    confluent = clustered.copy()
-    plain = ~clustered
+    # t = 0 rows keep value 0 and estimate 0
+    moving = t != 0.0
+    confluent = clustered & moving
+    plain = ~clustered & moving
     if np.any(plain):
         d = diff[plain]
         # signed product over j != i of (x_i - x_j); row-wise via masked prod
         ii = np.arange(m)
-        d = d.copy()
         d[:, ii, ii] = 1.0
         denom = d.prod(axis=2)  # (Bp, m)
         est = _EPS * m * (1.0 / np.abs(denom)).sum(axis=1)
         # cancellation beyond ~1e-12 absolute: reroute through the stable path
         bad = est > 1e-12
-        phase = np.exp(-1j * nodes[plain] * t)
+        phase = np.exp(-1j * nodes[plain] * t[plain, None])
         vals_plain = (phase / denom).sum(axis=1)
         idx_plain = np.flatnonzero(plain)
         values[idx_plain] = vals_plain
@@ -252,10 +248,11 @@ def dd_exp_batch(nodes: np.ndarray, t: float):
         confluent[idx_plain[bad]] = True
     if np.any(confluent):
         sub = nodes[confluent]
+        tc = t[confluent]
         mu = sub.mean(axis=1)
-        z = -1j * t * (sub - mu[:, None])
-        top, s = _expm_batch_bidiagonal(z, -1j * t)
-        values[confluent] = np.exp(-1j * mu * t) * top
+        z = (-1j * tc)[:, None] * (sub - mu[:, None])
+        top, s = _expm_batch_bidiagonal(z, -1j * tc)
+        values[confluent] = np.exp(-1j * mu * tc) * top
         errs[confluent] = _EPS * (m ** 2) * (2.0 ** s)
     return values, clustered, errs
 

@@ -14,6 +14,11 @@ Each piece is a tuple sum with its equal-index classes and unequal pairs,
 evaluated by the propagator's tuple-sum kernel on confluent divided
 differences, so repeated nodes (the delta-contracted indices) are handled as
 limits rather than 0/0.
+
+The resummed secular aggregates take the t^0 classes of the lower orders from
+a least-squares fit on a time stencil.  Each order's stencil is sampled in one
+pass: one time-batched tuple sum on the tuple route, one block exponential per
+stencil time on the block route.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ import numpy as np
 # unused here; kept because perfbench/spans.py wraps contraction.dd_exp_batch
 from .coeff import dd_exp_batch  # noqa: F401
 from .model import RedividedHamiltonian, SplitHamiltonian, StateVector
-from .propagator import _tuple_sum, series_order_matrix
+from .propagator import _order_matrix_tuples, _route, _tuple_sum, series_order_matrix
 
 MIN_PATTERN_ORDER = 2
 MAX_PATTERN_ORDER = 6
@@ -320,23 +325,8 @@ def redivided_closed_form_order2(
 # ---------------------------------------------------------------------------
 
 
-def extract_secular_coefficients(
-    sample_fn,
-    energies,
-    max_power: int,
-    oversample: int = 4,
-    t_scale: float | None = None,
-) -> np.ndarray:
-    """Fit matrices to sum_{j,a} c[.., j, a] t^a exp(-i E_j t) on a t stencil.
-
-    sample_fn(t) must return a (D, D) matrix analytic in t.  The stencil must
-    span several oscillation periods of the smallest level gap or the basis
-    functions are numerically collinear; the default window is 8 pi over that
-    gap, and the (oversampled, column-normalized) generalized Vandermonde
-    system is solved by least squares.  Returns the coefficient array of
-    shape (D, D, D, max_power + 1) indexed (row, col, frequency, power).
-    """
-    e = np.asarray(energies, dtype=float)
+def _stencil(e: np.ndarray, max_power: int, oversample: int, t_scale: float | None):
+    """Sample times, column-normalized design matrix and column scales of the fit."""
     dim = e.size
     if t_scale is None:
         if dim > 1:
@@ -354,16 +344,46 @@ def extract_secular_coefficients(
     powers = ts[:, None] ** np.arange(max_power + 1)[None, :]
     design = (phases[:, :, None] * powers[:, None, :]).reshape(n_samples, n_basis)
     col_scale = np.linalg.norm(design, axis=0)
-    design = design / col_scale
-    rhs = np.stack([np.asarray(sample_fn(t), dtype=complex).ravel() for t in ts])
-    coef, *_ = np.linalg.lstsq(design, rhs, rcond=None)
+    return ts, design / col_scale, col_scale
+
+
+def _fit(design, col_scale, samples, max_power: int) -> np.ndarray:
+    """Least-squares coefficients (row, col, freq, power) of (N, D, D) samples."""
+    n_samples, dim = samples.shape[:2]
+    coef, *_ = np.linalg.lstsq(design, samples.reshape(n_samples, -1), rcond=None)
     coef = coef / col_scale[:, None]
-    coef = coef.reshape(dim, max_power + 1, dim, dim)
+    coef = coef.reshape(-1, max_power + 1, dim, dim)
     return np.transpose(coef, (2, 3, 0, 1))
 
 
+def extract_secular_coefficients(
+    sample_fn,
+    energies,
+    max_power: int,
+    oversample: int = 4,
+    t_scale: float | None = None,
+) -> np.ndarray:
+    """Fit matrices to sum_{j,a} c[.., j, a] t^a exp(-i E_j t) on a t stencil.
+
+    sample_fn(t) must return a (D, D) matrix analytic in t.  The stencil must
+    span several oscillation periods of the smallest level gap or the basis
+    functions are numerically collinear; the default window is 8 pi over that
+    gap, and the (oversampled, column-normalized) generalized Vandermonde
+    system is solved by least squares.  Returns the coefficient array of
+    shape (D, D, D, max_power + 1) indexed (row, col, frequency, power).
+    """
+    e = np.asarray(energies, dtype=float)
+    ts, design, col_scale = _stencil(e, max_power, oversample, t_scale)
+    samples = np.stack([np.asarray(sample_fn(t), dtype=complex) for t in ts])
+    return _fit(design, col_scale, samples, max_power)
+
+
 def _e_class_arrays(m: RedividedHamiltonian, upto: int) -> list[np.ndarray]:
-    """t^0 coefficient arrays c_m[row, col, freq] of the order-m terms, m <= upto."""
+    """t^0 coefficient arrays c_m[row, col, freq] of the order-m terms, m <= upto.
+
+    Each order's stencil is sampled in one pass: one time-batched tuple sum
+    on the tuple route, one block exponential per time on the block route.
+    """
     e = m.shifted_energies
     g = m.offdiagonal
     dim = m.dim
@@ -372,12 +392,13 @@ def _e_class_arrays(m: RedividedHamiltonian, upto: int) -> list[np.ndarray]:
         c0[i, i, i] = 1.0
     arrays = [c0]
     for order in range(1, upto + 1):
-        coef = extract_secular_coefficients(
-            lambda t, o=order: series_order_matrix(e, g, o, t),
-            e,
-            max_power=max(order // 2, 1),
-        )
-        arrays.append(coef[:, :, :, 0])
+        max_power = max(order // 2, 1)
+        ts, design, col_scale = _stencil(e, max_power, oversample=4, t_scale=None)
+        if _route(dim, order) == "tuples":
+            samples = _order_matrix_tuples(e, g, order, ts)
+        else:
+            samples = np.stack([series_order_matrix(e, g, order, t) for t in ts])
+        arrays.append(_fit(design, col_scale, samples, max_power)[:, :, :, 0])
     return arrays
 
 

@@ -7,6 +7,10 @@ shifted-level differences; adding them to the exponents yields improved
 perturbed solutions, transition probabilities (and a revised golden rule),
 and improved perturbed energies and states.  Everything here assumes a
 nondegenerate shifted spectrum and gates on it.
+
+An improved solution is a phase-matrix product: its kernel is linear in the
+phase vector exp(-i freq t), so D kernel builds on unit phase vectors give a
+D x D matrix N, and the amplitudes on a time grid are exp(-i t freq) @ N^T.
 """
 
 from __future__ import annotations
@@ -139,6 +143,13 @@ def revision_energies(
     )
 
 
+def _finite_times(times) -> np.ndarray:
+    times = np.asarray(times, dtype=float).reshape(-1)
+    if not np.all(np.isfinite(times)):
+        raise ValueError("times must be finite")
+    return times
+
+
 def _shift_sum(rev: RevisionEnergies, depth: int) -> np.ndarray:
     parts = {2: rev.g2, 3: rev.g3, 4: rev.g4, 5: rev.g5}
     s = np.zeros_like(rev.g2)
@@ -156,13 +167,17 @@ def improved_kernel(
     denominators always use the unshifted ``e``.  With freq == e this is the
     pure oscillatory class of the plain order-k term.
     """
+    return _kernel(e, g, np.exp(-1j * freq * t), order)
+
+
+def _kernel(e: np.ndarray, g: np.ndarray, ph: np.ndarray, order: int) -> np.ndarray:
+    """Order-k kernel matrix for the phase vector ph; linear in ph."""
     dim = e.size
     R = _masked_reciprocal(e)
     R2 = R * R
     W = g * R
     absg2 = np.abs(g) ** 2
     offmask = 1.0 - np.eye(dim)
-    ph = np.exp(-1j * freq * t)
     if order == 0:
         return np.diag(ph)
     if order == 1:
@@ -212,20 +227,28 @@ def improved_solution(
     G^(2..5), order 1 G^(2..4), order 2 G^(2..3), order 3 G^(2)); level
     differences in denominators keep the unshifted (redivided) energies.
     At t = 0 each order reduces exactly to its plain counterpart.
+
+    The kernel is linear in its phase vector ph = exp(-i freq t), so the
+    matrix N whose column j is kernel(unit_j) @ psi0 serves every time: the
+    amplitudes are exp(-i outer(times, freq)) @ N^T, D kernel builds and one
+    matrix product in place of one kernel per time.  That is more work only
+    with fewer times than levels (T < D), which no caller in the package or
+    its benchmark asks for.
     """
     if order not in SHIFT_DEPTH:
         raise ValueError("order must be 0..3")
     if psi0.dim != m.dim:
         raise ValueError("state dimension does not match model")
-    times = np.asarray(times, dtype=float).reshape(-1)
+    times = _finite_times(times)
     rev = revision_energies(m, max_order=5, gap_tol=gap_tol)
     e = m.shifted_energies
     g = m.offdiagonal
     a0 = psi0.amplitudes
     freq = e + _shift_sum(rev, SHIFT_DEPTH[order])
-    out = np.empty((times.size, m.dim), dtype=complex)
-    for k, t in enumerate(times):
-        out[k] = improved_kernel(e, g, freq, order, t) @ a0
+    N = np.column_stack(
+        [_kernel(e, g, unit, order) @ a0 for unit in np.eye(m.dim, dtype=complex)]
+    )
+    out = np.exp(-1j * np.outer(times, freq)) @ N.T
     return ImprovedSolution(order=order, times=times, amplitudes=out, revisions=rev)
 
 
@@ -248,7 +271,7 @@ def improved_transition(
         raise IndexError("level index out of range")
     if from_level == to_level:
         raise ValueError("transition requires distinct levels")
-    times = np.asarray(times, dtype=float).reshape(-1)
+    times = _finite_times(times)
     rev = revision_energies(m, max_order=4, gap_tol=gap_tol)
     e = m.shifted_energies
     shift = _shift_sum(rev, 4)

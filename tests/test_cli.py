@@ -146,6 +146,38 @@ def test_propagate_rejects_negative_initial_level(model_path, capsys):
     assert json.loads(captured.err)["error"] == "IndexError"
 
 
+@pytest.mark.parametrize(
+    "command, option, value",
+    [
+        (["transition", "--from", "0", "--to", "1"], "--t-stop", "nan"),
+        (["transition", "--from", "0", "--to", "1"], "--t-stop", "inf"),
+        (["transition", "--from", "0", "--to", "1"], "--t-start", "-inf"),
+        (["propagate", "--order", "4"], "--t-stop", "nan"),
+    ],
+)
+def test_time_grid_rejects_non_finite_ends(model_path, tmp_path, capsys, command, option, value):
+    out = tmp_path / "out.csv"
+    argv = command[:1] + ["--model", model_path, f"{option}={value}", "--out", str(out)]
+    assert run_cli(argv + command[1:]) == 2
+    assert not out.exists()
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "ValueError" and "finite" in record["message"]
+
+
+def test_import_leaves_the_quadrature_oracle_unloaded():
+    # scipy.integrate serves only the Dyson oracle and is imported on its call
+    code = "import sys, divexp.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH="src"),
+        cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
+
+
 def test_csv_cells_match_repr_17g(capsys):
     floats = [-0.0, 0.0, float("nan"), float("inf"), -float("inf"), 5e-324,
               1.0 / 3.0, np.float64(-2.5e300), 7.0]

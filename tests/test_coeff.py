@@ -15,6 +15,7 @@ from divexp import (
     dd_exp,
     denominators,
 )
+from divexp.coeff import _EPS, dd_exp_batch
 
 
 def brute_force_power_sum(nodes, n):
@@ -160,6 +161,36 @@ def test_dd_exp_confluent_consistency(rng):
     # the node itself moved by eps, so allow the genuine O(eps * d(dd)/dx) drift
     assert abs(vals[0] - vals[-1]) < 1e-5
     assert abs(vals[2] - vals[3]) < 1e-10
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5])
+def test_dd_exp_batch_per_row_times_match_scalar_calls(rng, m):
+    # plain rows, clustered rows (gap 1e-9) and rows rerouted by their error
+    # estimate (gaps 1e-4: distinct, but the alternating sum would cancel)
+    plain = rng.uniform(-2.0, 2.0, size=(6, m))
+    clustered = plain[:, :1] + 1e-9 * np.arange(m)
+    rerouted = plain[:, :1] + 1e-4 * np.arange(m)
+    nodes = np.concatenate([plain, clustered, rerouted] * 3)
+    times = rng.choice([0.0, -0.0, 0.4, -1.3, 25.0], size=len(nodes))
+    times[::7] = 0.0
+    vals, flags, errs = dd_exp_batch(nodes, times)
+    for t in np.unique(times):
+        rows = times == t
+        want = dd_exp_batch(nodes, float(t))
+        for got, ref in zip((vals, flags, errs), want):
+            assert got[rows].tobytes() == ref[rows].tobytes(), t
+    if m > 1:
+        still = times == 0.0
+        assert np.all(vals[still] == 0) and np.all(errs[still] == 0)
+        n = len(plain)
+        kind = np.tile(np.repeat([0, 1, 2], n), 3)
+        assert np.all(flags[kind == 1]) and not np.any(flags[kind != 1])
+        # the alternating sum's estimate exceeds 1e-12 on the rerouted rows,
+        # which carry the matrix exponential's eps * m^2 * 2^s instead
+        diff = rerouted[:, :, None] - rerouted[:, None, :] + np.eye(m)
+        assert np.all(_EPS * m * (1.0 / np.abs(diff.prod(axis=2))).sum(axis=1) > 1e-12)
+        steps = np.log2(errs[(kind == 2) & ~still] / (_EPS * m * m))
+        assert np.array_equal(steps, np.round(steps))
 
 
 def test_binomial_expansion_base_cases(rng):

@@ -19,7 +19,7 @@ from divexp import (
     series_term,
     third_order_pieces,
 )
-from divexp import propagator
+from divexp import contraction, propagator
 from divexp.contraction import pattern_piece_matrix
 from divexp.propagator import oracle_block_order, series_order_matrix
 
@@ -256,6 +256,56 @@ def test_aggregates_match_extraction(rng):
         )
         for a, pred in agg.items():
             assert np.max(np.abs(pred - ext[:, :, :, a])) < 1e-8
+
+
+def _per_time_e_classes(m, upto):
+    """t^0 class arrays fitted from one series term per sampled time."""
+    e, g = m.shifted_energies, m.offdiagonal
+    arrays = [np.einsum("ij,jk->ijk", np.eye(m.dim), np.eye(m.dim)).astype(complex)]
+    for order in range(1, upto + 1):
+        coef = extract_secular_coefficients(
+            lambda t, o=order: series_order_matrix(e, g, o, t),
+            e,
+            max_power=max(order // 2, 1),
+        )
+        arrays.append(coef[:, :, :, 0])
+    return arrays
+
+
+@pytest.mark.parametrize("route", ["tuples", "block"])
+def test_aggregates_match_per_time_sampling(rng, monkeypatch, route):
+    models = [redivide(random_offdiag_model(rng, dim, coupling=0.3)) for dim in (4, 5)]
+    got = {
+        (i, l): secular_aggregate_coefficients(m, l)
+        for i, m in enumerate(models) for l in (4, 5, 6)
+    }
+    if route == "block":
+        # the per-time branch, which in production only D > 16 reaches
+        monkeypatch.setattr(contraction, "_route", lambda dim, l: "block")
+    else:
+        monkeypatch.setattr(contraction, "_e_class_arrays", _per_time_e_classes)
+    for (i, l), classes in got.items():
+        want = secular_aggregate_coefficients(models[i], l)
+        for a, pred in classes.items():
+            scale = np.max(np.abs(want[a]))
+            assert np.max(np.abs(pred - want[a])) <= 1e-10 * scale, (i, l, a)
+
+
+def test_secular_sampling_takes_one_divided_difference_call_per_row(rng, monkeypatch):
+    calls = []
+    real = propagator.dd_exp_batch
+
+    def counting(nodes, t):
+        calls.append(len(nodes))
+        return real(nodes, t)
+
+    monkeypatch.setattr(propagator, "dd_exp_batch", counting)
+    dim = 5
+    m = redivide(random_offdiag_model(rng, dim, coupling=0.3))
+    for upto in (1, 2, 3):
+        calls.clear()
+        contraction._e_class_arrays(m, upto)
+        assert 0 < len(calls) <= dim * upto, upto
 
 
 def test_aggregate_l4_secular_square_is_diagonal_revision(rng):

@@ -6,6 +6,7 @@ from divexp import (
     DegeneracyError,
     GoldenRuleError,
     SplitHamiltonian,
+    StateVector,
     TwoStateExact,
     basis_state,
     exact_transition,
@@ -18,7 +19,8 @@ from divexp import (
     revised_golden_rule,
     revision_energies,
 )
-from divexp.improved import improved_kernel
+from divexp import improved
+from divexp.improved import SHIFT_DEPTH, _shift_sum, improved_kernel
 
 
 def two_state(v=0.1):
@@ -76,6 +78,49 @@ def test_improved_solution_zero_coupling():
     for order in (1, 2, 3):
         sol = improved_solution(m, psi0, [1.7], order)
         assert np.all(sol.amplitudes == 0)
+
+
+def test_improved_solution_matches_per_time_kernel(rng):
+    m = redivide(random_offdiag_model(rng, 4, coupling=0.3))
+    e, g = m.shifted_energies, m.offdiagonal
+    a0 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    psi0 = StateVector(a0 / np.linalg.norm(a0))
+    times = np.array([0.0, 0.25, -3.0, 11.0, 0.25, 140.0])
+    rev = revision_energies(m, 5)
+    zero = redivide(SplitHamiltonian(energies=e, perturbation=np.zeros((4, 4))))
+    for order in range(4):
+        sol = improved_solution(m, psi0, times, order)
+        freq = e + _shift_sum(rev, SHIFT_DEPTH[order])
+        want = np.stack([improved_kernel(e, g, freq, order, t) @ psi0.amplitudes
+                         for t in times])
+        assert np.max(np.abs(sol.amplitudes - want)) <= 1e-14 * np.max(np.abs(want))
+        if order:
+            assert np.all(improved_solution(zero, psi0, times, order).amplitudes == 0)
+
+
+def test_improved_solution_builds_at_most_one_kernel_per_level(rng, monkeypatch):
+    calls = []
+    real = improved._kernel
+
+    def counting(*args):
+        calls.append(args[-1])
+        return real(*args)
+
+    monkeypatch.setattr(improved, "_kernel", counting)
+    m = redivide(random_offdiag_model(rng, 3))
+    for order in range(4):
+        calls.clear()
+        improved_solution(m, basis_state(3, 1), np.linspace(0.0, 9.0, 50), order)
+        assert calls == [order] * 3
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_improved_entry_points_reject_non_finite_times(bad):
+    m = redivide(two_state().to_split_hamiltonian())
+    with pytest.raises(ValueError, match="finite"):
+        improved_solution(m, basis_state(2, 0), [bad, 1.0], 1)
+    with pytest.raises(ValueError, match="finite"):
+        improved_transition(m, 0, 1, [0.5, bad])
 
 
 def test_improved_first_order_two_state_formula():
