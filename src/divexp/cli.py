@@ -28,7 +28,15 @@ from .model import (
 )
 
 
-def _write_csv(path, header, rows):
+def _write_text(path, text):
+    if path in (None, "-"):
+        sys.stdout.write(text)
+    else:
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+
+
+def _csv_text(header, rows):
     lines = [",".join(header)]
     if rows:
         # one format per table, from the types of the first row
@@ -39,21 +47,11 @@ def _write_csv(path, header, rows):
             for x in rows[0]
         )
         lines += [fmt % tuple(row) for row in rows]
-    text = "\n".join(lines) + "\n"
-    if path in (None, "-"):
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
+    return "\n".join(lines) + "\n"
 
 
-def _write_json(path, doc):
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    if path in (None, "-"):
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
+def _json_text(doc):
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 def _times(args) -> np.ndarray:
@@ -86,7 +84,7 @@ def cmd_propagate(args) -> int:
             c = res.amplitudes[k, g]
             rows.append((t, g, c.real, c.imag, abs(c) ** 2, res.tail_bounds[k]))
     if args.format == "csv":
-        _write_csv(args.out, ["t", "gamma", "re_c", "im_c", "prob", "tail_bound"], rows)
+        text = _csv_text(["t", "gamma", "re_c", "im_c", "prob", "tail_bound"], rows)
     else:
         doc = {
             "order_cap": int(L),
@@ -96,7 +94,8 @@ def cmd_propagate(args) -> int:
             ],
             "tail_bounds": [float(b) for b in res.tail_bounds],
         }
-        _write_json(args.out, doc)
+        text = _json_text(doc)
+    _write_text(args.out, text)
     return 0
 
 
@@ -106,10 +105,9 @@ def cmd_transition(args) -> int:
     rep = improved.improved_transition(m, args.from_level, args.to_level, times)
     if args.format == "csv":
         rows = list(zip(rep.times, rep.p_usual, rep.p_improved, rep.delta))
-        _write_csv(args.out, ["t", "p_usual", "p_improved", "delta"], rows)
+        text = _csv_text(["t", "p_usual", "p_improved", "delta"], rows)
     else:
-        _write_json(
-            args.out,
+        text = _json_text(
             {
                 "from": args.from_level,
                 "to": args.to_level,
@@ -119,6 +117,7 @@ def cmd_transition(args) -> int:
                 "delta": [float(p) for p in rep.delta],
             },
         )
+    _write_text(args.out, text)
     return 0
 
 
@@ -130,13 +129,13 @@ def cmd_energy(args) -> int:
         "improved_energy": improved.improved_energy(model, args.level, args.max_order),
     }
     if args.format == "csv":
-        _write_csv(
-            args.out,
+        text = _csv_text(
             ["level", "max_order", "improved_energy"],
             [(doc["level"], doc["max_order"], doc["improved_energy"])],
         )
     else:
-        _write_json(args.out, doc)
+        text = _json_text(doc)
+    _write_text(args.out, text)
     return 0
 
 
@@ -168,7 +167,7 @@ def cmd_decompose(args) -> int:
             for p in pieces
         ],
     }
-    _write_json(args.out, doc)
+    _write_text(args.out, _json_text(doc))
     return 0
 
 
@@ -201,7 +200,7 @@ def cmd_verify_identity(args) -> int:
         "max_abs_at_order_minus_one": worst_one,
         "pass": bool(worst_zero < args.tol and worst_one < args.tol),
     }
-    _write_json(args.out, doc)
+    _write_text(args.out, _json_text(doc))
     return 0 if doc["pass"] else 3
 
 
@@ -237,12 +236,7 @@ def cmd_demo(args) -> int:
         f"usual={float(usual.probability(t_peak)):.8f} "
         f"exact={reference.exact_transition(ts, t_peak):.8f}"
     )
-    text = "\n".join(lines) + "\n"
-    if args.out in (None, "-"):
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(text)
+    _write_text(args.out, "\n".join(lines) + "\n")
     return 0
 
 
@@ -271,11 +265,8 @@ def cmd_bench(args) -> int:
                 continue
             err = float(np.linalg.norm(U.matrix - exact))
             rows.append((dim, L, propagator._route(dim, L), wall, err, U.tail_bound))
-    _write_csv(
-        args.out,
-        ["dim", "order_cap", "method", "wall_time_s", "error_vs_oracle", "tail_bound"],
-        rows,
-    )
+    header = ["dim", "order_cap", "method", "wall_time_s", "error_vs_oracle", "tail_bound"]
+    _write_text(args.out, _csv_text(header, rows))
     return 0
 
 
@@ -357,11 +348,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ModelError, DegeneracyError, ValueError, IndexError, OSError) as exc:
-        record = {"error": type(exc).__name__, "message": str(exc)}
-        print(json.dumps(record, sort_keys=True), file=sys.stderr)
-        return 2
     except (
+        ModelError,
+        DegeneracyError,
+        ValueError,
+        IndexError,
+        OSError,
         propagator.BudgetExceededError,
         propagator.EigensolveError,
         propagator.QuadratureError,

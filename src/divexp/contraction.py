@@ -15,10 +15,12 @@ evaluated by the propagator's tuple-sum kernel on confluent divided
 differences, so repeated nodes (the delta-contracted indices) are handled as
 limits rather than 0/0.
 
-The resummed secular aggregates take the t^0 classes of the lower orders from
-a least-squares fit on a time stencil.  Each order's stencil is sampled in one
-pass: one time-batched tuple sum on the tuple route, one block exponential per
-stencil time on the block route.
+The resummed secular aggregates take the t^0 classes of the lower orders
+exactly, from the Laurent series of the resolvent at each shifted level: a few
+cut-off power-series products per level, with no time sampling, divided
+difference or matrix exponential.  extract_secular_coefficients, a
+least-squares fit of sampled terms on a time stencil, stays as the
+independent check of those classes.
 """
 
 from __future__ import annotations
@@ -28,10 +30,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# unused here; kept because perfbench/spans.py wraps contraction.dd_exp_batch
-from .coeff import dd_exp_batch  # noqa: F401
+from . import improved
 from .model import RedividedHamiltonian, SplitHamiltonian, StateVector
-from .propagator import _order_matrix_tuples, _route, _tuple_sum, series_order_matrix
+from .propagator import _tuple_sum
+
+# unused here; kept only because perfbench/spans.py wraps both names in this module
+from .coeff import dd_exp_batch  # noqa: F401
+from .propagator import series_order_matrix  # noqa: F401
 
 MIN_PATTERN_ORDER = 2
 MAX_PATTERN_ORDER = 6
@@ -325,8 +330,24 @@ def redivided_closed_form_order2(
 # ---------------------------------------------------------------------------
 
 
-def _stencil(e: np.ndarray, max_power: int, oversample: int, t_scale: float | None):
-    """Sample times, column-normalized design matrix and column scales of the fit."""
+def extract_secular_coefficients(
+    sample_fn,
+    energies,
+    max_power: int,
+    oversample: int = 4,
+    t_scale: float | None = None,
+) -> np.ndarray:
+    """Fit matrices to sum_{j,a} c[.., j, a] t^a exp(-i E_j t) on a t stencil.
+
+    sample_fn(t) must return a (D, D) matrix analytic in t.  The stencil must
+    span several oscillation periods of the smallest level gap or the basis
+    functions are numerically collinear; the default window is 8 pi over that
+    gap, and the (oversampled, column-normalized) generalized Vandermonde
+    system is solved by least squares.  Returns the coefficient array of
+    shape (D, D, D, max_power + 1) indexed (row, col, frequency, power).
+    An independent check of the exact classes of secular_aggregate_coefficients.
+    """
+    e = np.asarray(energies, dtype=float)
     dim = e.size
     if t_scale is None:
         if dim > 1:
@@ -344,62 +365,12 @@ def _stencil(e: np.ndarray, max_power: int, oversample: int, t_scale: float | No
     powers = ts[:, None] ** np.arange(max_power + 1)[None, :]
     design = (phases[:, :, None] * powers[:, None, :]).reshape(n_samples, n_basis)
     col_scale = np.linalg.norm(design, axis=0)
-    return ts, design / col_scale, col_scale
-
-
-def _fit(design, col_scale, samples, max_power: int) -> np.ndarray:
-    """Least-squares coefficients (row, col, freq, power) of (N, D, D) samples."""
-    n_samples, dim = samples.shape[:2]
-    coef, *_ = np.linalg.lstsq(design, samples.reshape(n_samples, -1), rcond=None)
-    coef = coef / col_scale[:, None]
-    coef = coef.reshape(-1, max_power + 1, dim, dim)
-    return np.transpose(coef, (2, 3, 0, 1))
-
-
-def extract_secular_coefficients(
-    sample_fn,
-    energies,
-    max_power: int,
-    oversample: int = 4,
-    t_scale: float | None = None,
-) -> np.ndarray:
-    """Fit matrices to sum_{j,a} c[.., j, a] t^a exp(-i E_j t) on a t stencil.
-
-    sample_fn(t) must return a (D, D) matrix analytic in t.  The stencil must
-    span several oscillation periods of the smallest level gap or the basis
-    functions are numerically collinear; the default window is 8 pi over that
-    gap, and the (oversampled, column-normalized) generalized Vandermonde
-    system is solved by least squares.  Returns the coefficient array of
-    shape (D, D, D, max_power + 1) indexed (row, col, frequency, power).
-    """
-    e = np.asarray(energies, dtype=float)
-    ts, design, col_scale = _stencil(e, max_power, oversample, t_scale)
     samples = np.stack([np.asarray(sample_fn(t), dtype=complex) for t in ts])
-    return _fit(design, col_scale, samples, max_power)
-
-
-def _e_class_arrays(m: RedividedHamiltonian, upto: int) -> list[np.ndarray]:
-    """t^0 coefficient arrays c_m[row, col, freq] of the order-m terms, m <= upto.
-
-    Each order's stencil is sampled in one pass: one time-batched tuple sum
-    on the tuple route, one block exponential per time on the block route.
-    """
-    e = m.shifted_energies
-    g = m.offdiagonal
-    dim = m.dim
-    c0 = np.zeros((dim, dim, dim), dtype=complex)
-    for i in range(dim):
-        c0[i, i, i] = 1.0
-    arrays = [c0]
-    for order in range(1, upto + 1):
-        max_power = max(order // 2, 1)
-        ts, design, col_scale = _stencil(e, max_power, oversample=4, t_scale=None)
-        if _route(dim, order) == "tuples":
-            samples = _order_matrix_tuples(e, g, order, ts)
-        else:
-            samples = np.stack([series_order_matrix(e, g, order, t) for t in ts])
-        arrays.append(_fit(design, col_scale, samples, max_power)[:, :, :, 0])
-    return arrays
+    coef, *_ = np.linalg.lstsq(
+        design / col_scale, samples.reshape(n_samples, -1), rcond=None
+    )
+    coef = (coef / col_scale[:, None]).reshape(dim, max_power + 1, dim, dim)
+    return np.transpose(coef, (2, 3, 0, 1))
 
 
 def _ordered_g_tuples(total: int, count: int):
@@ -424,6 +395,29 @@ def secular_classes_for_order(l: int) -> tuple[int, ...]:
     raise ValueError("resummed aggregates are defined for l in {4, 5, 6}")
 
 
+def _laurent_coefficients(e: np.ndarray, g: np.ndarray, m: int) -> np.ndarray:
+    """Coefficients [w^0 .. w^m] of Q_j(w) (g Q_j(w))^m at every level j.
+
+    Returns an array (m + 1, D, D, D) indexed [k, row, col, j]; see
+    secular_aggregate_coefficients for Q_j.  Q_j is diagonal, so each of the
+    m cut-off series products is a product by g and a column scaling.  The
+    t^a exp(-i e_j t) class of the order-m term is (-i)^a / a! times
+    coefficient m - a.
+    """
+    eye = np.eye(e.size)
+    r = improved._masked_reciprocal(e)  # 1 / (e_j - e_k), zero at k = j
+    # q[n, j, k]: the w^n coefficient of the diagonal of Q_j
+    q = np.stack([eye] + [-((-r) ** n) for n in range(1, m + 1)])
+    series = (q[:, :, None, :] * eye).astype(complex)  # [n, j, row, col]
+    for _ in range(m):
+        tail = series @ g
+        series = np.stack([
+            sum(tail[p] * q[n - p, :, None, :] for p in range(n + 1))
+            for n in range(m + 1)
+        ])
+    return np.moveaxis(series, 1, 3)
+
+
 def secular_aggregate_coefficients(
     m: RedividedHamiltonian, l: int
 ) -> dict[int, np.ndarray]:
@@ -432,15 +426,21 @@ def secular_aggregate_coefficients(
     The resummation rule: the t^a class of the order-l term is
     (-i)^a / a! * sum over ordered revision-order tuples (b_1..b_a) and a
     lower order m with b_1 + .. + b_a + m = l of prod_i G^(b_i) at the
-    frequency level times the t^0 class of the order-m term.  Requires a
-    nondegenerate shifted spectrum.
+    frequency level times the t^0 class of the order-m term.  That class is
+    exact: the residue at z = E'_j of exp(-i z t) R (g R)^m, R = (z - E')^-1,
+    whose t^0 part is the w^m coefficient of Q_j(w) (g Q_j(w))^m with
+    Q_j(w) = P_j + sum_{n>=1} (-1)^(n-1) S_j^n w^n, P_j = e_j e_j^T and
+    S_j = diag(1 / (E'_j - E'_k)), zero at k = j (Kato's Laurent series of
+    the resolvent).  Requires a nondegenerate shifted spectrum.
     """
-    from .improved import revision_energies
-
-    rev = revision_energies(m, max_order=5)
+    rev = improved.revision_energies(m, max_order=5)
     gvals = {2: rev.g2, 3: rev.g3, 4: rev.g4, 5: rev.g5}
     powers = secular_classes_for_order(l)
-    e_class = _e_class_arrays(m, upto=max(l - 2 * min(powers), 0))
+    e, g = m.shifted_energies, m.offdiagonal
+    e_class = [
+        _laurent_coefficients(e, g, order)[order]
+        for order in range(max(l - 2 * min(powers), 0) + 1)
+    ]
     out = {}
     for a in powers:
         pred = np.zeros((m.dim, m.dim, m.dim), dtype=complex)

@@ -32,6 +32,9 @@ from .model import (
 
 REALITY_TOL = 1e-10
 
+#: halvings of the golden-rule trapezoid step after the first 64 panels
+MAX_REFINE = 18
+
 #: highest revision order entering the exponent of each improved solution order
 SHIFT_DEPTH = {0: 5, 1: 4, 2: 3, 3: 2}
 
@@ -106,8 +109,7 @@ def revision_energies(
     absg2 = np.abs(g) ** 2
 
     g2 = (absg2 * R).sum(axis=1)
-    z = np.zeros(dim)
-    g3 = g4 = g5 = z
+    g3 = g4 = g5 = np.zeros(dim)
     W = g * R
     if max_order >= 3:
         Wg = W @ g
@@ -134,12 +136,7 @@ def revision_energies(
     for a in range(2, max_order + 1):
         shifted = shifted + parts[a]
     return RevisionEnergies(
-        g2=g2,
-        g3=g3 if max_order >= 3 else z,
-        g4=g4 if max_order >= 4 else z,
-        g5=g5 if max_order >= 5 else z,
-        shifted=shifted,
-        max_order=max_order,
+        g2=g2, g3=g3, g4=g4, g5=g5, shifted=shifted, max_order=max_order
     )
 
 
@@ -286,13 +283,13 @@ def improved_transition(
     )
 
 
-def _trapezoid_refine(f, lo, hi, rel_tol, max_refine):
+def _trapezoid_refine(f, lo, hi, rel_tol):
     n = 64
     xs = np.linspace(lo, hi, n + 1)
     vals = f(xs)
     coarse = np.trapezoid(vals, xs)
     prev_richardson = None
-    for _ in range(max_refine):
+    for _ in range(MAX_REFINE):
         mids = (xs[:-1] + xs[1:]) / 2.0
         fm = f(mids)
         fine = coarse / 2.0 + np.sum(fm) * (xs[1] - xs[0]) / 2.0
@@ -301,8 +298,6 @@ def _trapezoid_refine(f, lo, hi, rel_tol, max_refine):
             scale = max(abs(richardson), 1e-300)
             if abs(richardson - prev_richardson) <= rel_tol * scale:
                 return richardson
-            if richardson == 0.0 and prev_richardson == 0.0:
-                return 0.0
         merged = np.empty(xs.size + mids.size)
         merged[0::2] = xs
         merged[1::2] = mids
@@ -318,26 +313,28 @@ def revised_golden_rule(
     rho,
     T: float,
     rel_tol: float = 1e-4,
-    coupling_sq: float | None = None,
     sin_product: bool = False,
     zero_shift: bool = False,
-    max_refine: int = 18,
     gap_tol: float | None = None,
 ) -> TransitionReport:
     """Usual golden-rule rate plus the frequency-shift correction integral.
 
     ``rho`` is a tabulated density of final states, (energies, values), on a
     window containing the initial level; it is interpolated with a monotone
-    cubic.  The shift of the final-state frequency is taken through second
-    order, with continuum states coupling to the ladder like the initial
-    level does; the correction integral runs over the tabulated window via
-    trapezoid sums with Richardson refinement to ``rel_tol``.  With
+    cubic.  The continuum coupling |g|^2 is the mean of |g_{beta k}|^2 over
+    the other levels k.  The shift of the final-state frequency is taken
+    through second order, with continuum states coupling to the ladder like
+    the initial level does; the correction integral runs over the tabulated
+    window via trapezoid sums with Richardson refinement to ``rel_tol``
+    (finite and positive), halving the step at most MAX_REFINE times.  With
     ``sin_product`` the cosine difference is replaced by the small-shift
     product approximation.  ``zero_shift`` evaluates the same integral with
     the shift switched off (the integrand then vanishes identically).
     """
     if not T > 0:
         raise GoldenRuleError("T must be positive")
+    if not (math.isfinite(rel_tol) and rel_tol > 0):
+        raise GoldenRuleError(f"rel_tol must be finite and positive, got {rel_tol}")
     dim = m.dim
     if not 0 <= from_level < dim:
         raise IndexError("level index out of range")
@@ -361,8 +358,7 @@ def revised_golden_rule(
 
     others = [i for i in range(dim) if i != from_level]
     gb2 = np.abs(m.offdiagonal[from_level, others]) ** 2
-    if coupling_sq is None:
-        coupling_sq = float(gb2.mean()) if others else 0.0
+    coupling_sq = float(gb2.mean()) if others else 0.0
     w1 = e[others] - e_beta  # ladder frequencies relative to the initial level
 
     def shift(omega):
@@ -396,7 +392,7 @@ def revised_golden_rule(
 
     rate_usual = 2.0 * math.pi * float(density(e_beta)) * coupling_sq
     rate_delta = float(
-        _trapezoid_refine(integrand, rho_e[0] - e_beta, rho_e[-1] - e_beta, rel_tol, max_refine)
+        _trapezoid_refine(integrand, rho_e[0] - e_beta, rho_e[-1] - e_beta, rel_tol)
     )
     return TransitionReport(rate_usual=rate_usual, rate_delta=rate_delta)
 

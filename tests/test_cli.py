@@ -8,8 +8,8 @@ import sys
 import numpy as np
 import pytest
 
-from divexp import TwoStateExact, dump_model, propagator
-from divexp.cli import _write_csv, main
+from divexp import TwoStateExact, dump_model, improved, propagator
+from divexp.cli import _csv_text, main
 
 
 @pytest.fixture
@@ -178,12 +178,11 @@ def test_import_leaves_the_quadrature_oracle_unloaded():
     assert out.stdout.strip() == "False"
 
 
-def test_csv_cells_match_repr_17g(capsys):
+def test_csv_cells_match_repr_17g():
     floats = [-0.0, 0.0, float("nan"), float("inf"), -float("inf"), 5e-324,
               1.0 / 3.0, np.float64(-2.5e300), 7.0]
     rows = [(float(x), k, np.int64(k), "tuples") for k, x in enumerate(floats)]
-    _write_csv(None, ["x", "k", "n", "s"], rows)
-    lines = capsys.readouterr().out.split("\n")
+    lines = _csv_text(["x", "k", "n", "s"], rows).split("\n")
     assert lines[0] == "x,k,n,s" and lines[-1] == ""
     for line, (x, k, _, s) in zip(lines[1:-1], rows, strict=True):
         assert line == f"{format(float(x), '.17g')},{k},{k},{s}"
@@ -272,6 +271,8 @@ def test_no_evaluation_knobs(capsys):
                  "evolve", "oracle_block_order"):
         params = inspect.signature(getattr(propagator, name)).parameters
         assert not [p for p in params if p == "method" or p.endswith("budget")], name
+    params = inspect.signature(improved.revised_golden_rule).parameters
+    assert "coupling_sq" not in params and "max_refine" not in params
     with pytest.raises(SystemExit):
         run_cli(["propagate", "--help"])
     assert "--method" not in capsys.readouterr().out

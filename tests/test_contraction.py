@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from conftest import random_hermitian_model, random_offdiag_model, tuples_term
 from divexp import (
@@ -19,7 +22,7 @@ from divexp import (
     series_term,
     third_order_pieces,
 )
-from divexp import contraction, propagator
+from divexp import coeff, contraction, propagator
 from divexp.contraction import pattern_piece_matrix
 from divexp.propagator import oracle_block_order, series_order_matrix
 
@@ -258,54 +261,65 @@ def test_aggregates_match_extraction(rng):
             assert np.max(np.abs(pred - ext[:, :, :, a])) < 1e-8
 
 
-def _per_time_e_classes(m, upto):
-    """t^0 class arrays fitted from one series term per sampled time."""
-    e, g = m.shifted_energies, m.offdiagonal
-    arrays = [np.einsum("ij,jk->ijk", np.eye(m.dim), np.eye(m.dim)).astype(complex)]
-    for order in range(1, upto + 1):
-        coef = extract_secular_coefficients(
-            lambda t, o=order: series_order_matrix(e, g, o, t),
-            e,
-            max_power=max(order // 2, 1),
-        )
-        arrays.append(coef[:, :, :, 0])
-    return arrays
+def _class_terms(e, g, order, t):
+    """Each t^a exp(-i E_j t) term of one series order, from its exact classes."""
+    coeffs = contraction._laurent_coefficients(e, g, order)
+    return np.stack([
+        (-1j * t) ** a / math.factorial(a) * coeffs[order - a] * np.exp(-1j * e * t)
+        for a in range(order + 1)
+    ])  # [a, row, col, j]
 
 
-@pytest.mark.parametrize("route", ["tuples", "block"])
-def test_aggregates_match_per_time_sampling(rng, monkeypatch, route):
-    models = [redivide(random_offdiag_model(rng, dim, coupling=0.3)) for dim in (4, 5)]
-    got = {
-        (i, l): secular_aggregate_coefficients(m, l)
-        for i, m in enumerate(models) for l in (4, 5, 6)
-    }
-    if route == "block":
-        # the per-time branch, which in production only D > 16 reaches
-        monkeypatch.setattr(contraction, "_route", lambda dim, l: "block")
-    else:
-        monkeypatch.setattr(contraction, "_e_class_arrays", _per_time_e_classes)
-    for (i, l), classes in got.items():
-        want = secular_aggregate_coefficients(models[i], l)
-        for a, pred in classes.items():
-            scale = np.max(np.abs(want[a]))
-            assert np.max(np.abs(pred - want[a])) <= 1e-10 * scale, (i, l, a)
+def test_laurent_classes_rebuild_the_series_term(rng):
+    models = [(redivide(random_offdiag_model(rng, dim)), range(1, 7)) for dim in (4, 5)]
+    models.append(
+        (redivide(random_offdiag_model(rng, 17, energy_spread=8.0, min_gap=0.1)), range(1, 4))
+    )
+    for m, orders in models:
+        e, g = m.shifted_energies, m.offdiagonal
+        for l in orders:
+            for t in (0.37, 2.0):
+                terms = _class_terms(e, g, l, t)
+                want = oracle_block_order(m, l, t)
+                # close levels make the classes cancel, so the error is
+                # measured against the largest class term, not the sum
+                err = np.max(np.abs(terms.sum(axis=(0, 3)) - want))
+                assert err <= 1e-13 * np.max(np.abs(terms)), (m.dim, l, t)
 
 
-def test_secular_sampling_takes_one_divided_difference_call_per_row(rng, monkeypatch):
+def test_aggregates_match_laurent_classes(rng):
+    # the resummed G^(2..5) products against the exact classes of order l
+    for dim in (4, 5):
+        m = redivide(random_offdiag_model(rng, dim, coupling=0.3))
+        e, g = m.shifted_energies, m.offdiagonal
+        for l in (4, 5, 6):
+            coeffs = contraction._laurent_coefficients(e, g, l)
+            for a, pred in secular_aggregate_coefficients(m, l).items():
+                want = (-1j) ** a / math.factorial(a) * coeffs[l - a]
+                scale = np.max(np.abs(want))
+                assert np.max(np.abs(pred - want)) <= 1e-12 * scale, (dim, l, a)
+
+
+def test_aggregates_call_no_divided_difference_exponential_or_fit(rng, monkeypatch):
     calls = []
-    real = propagator.dd_exp_batch
 
-    def counting(nodes, t):
-        calls.append(len(nodes))
-        return real(nodes, t)
+    def counting(name, real):
+        def stub(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
 
-    monkeypatch.setattr(propagator, "dd_exp_batch", counting)
-    dim = 5
-    m = redivide(random_offdiag_model(rng, dim, coupling=0.3))
-    for upto in (1, 2, 3):
-        calls.clear()
-        contraction._e_class_arrays(m, upto)
-        assert 0 < len(calls) <= dim * upto, upto
+        return stub
+
+    dd = counting("dd_exp_batch", coeff.dd_exp_batch)
+    for module in (coeff, propagator, contraction):
+        monkeypatch.setattr(module, "dd_exp_batch", dd)
+    monkeypatch.setattr(scipy.linalg, "expm", counting("expm", scipy.linalg.expm))
+    monkeypatch.setattr(np.linalg, "lstsq", counting("lstsq", np.linalg.lstsq))
+    for dim in (5, 17):
+        m = redivide(random_offdiag_model(rng, dim, energy_spread=8.0, min_gap=0.1))
+        for l in (4, 5, 6):
+            secular_aggregate_coefficients(m, l)
+    assert calls == []
 
 
 def test_aggregate_l4_secular_square_is_diagonal_revision(rng):

@@ -273,6 +273,13 @@ def test_golden_rule_window_and_input_errors():
         revised_golden_rule(m, 0, (w, -rho), T=5.0)
 
 
+@pytest.mark.parametrize("rel_tol", [0.0, -1e-4, float("nan")])
+def test_golden_rule_rejects_unreachable_rel_tol(rel_tol):
+    # checked before any refinement runs
+    with pytest.raises(GoldenRuleError, match="rel_tol"):
+        revised_golden_rule(toy_golden_model(), 0, toy_density(), T=5.0, rel_tol=rel_tol)
+
+
 def test_golden_rule_sin_product_flag_runs():
     m = toy_golden_model()
     rep = revised_golden_rule(m, 0, toy_density(), T=6.0, sin_product=True)

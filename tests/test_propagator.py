@@ -431,7 +431,9 @@ def test_route_pins():
         (3, 5, "tuples"), (4, 5, "block"),
         (2048, 1, "tuples"), (2048, 2, "tuples"),
     ]
-    # benchmark shapes: grid, matrix, decompose, the improved secular fit
+    # benchmark shapes: grid, matrix, decompose; then D = 5 at orders 1-3, the
+    # improved workload's size, kept as a pin of the rule although its exact
+    # secular classes take no route
     pins += [(d, l, "block") for d in (6, 8, 10) for l in range(10, 16)]
     pins += [(d, l, "block") for d in (48, 64, 96) for l in (6, 8)]
     pins += [(d, l, "tuples") for d in (8, 12, 16) for l in (2, 3)]
