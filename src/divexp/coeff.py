@@ -167,12 +167,11 @@ def c_recurrence(nl: NodeList, n: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _expm_batch_bidiagonal(z: np.ndarray, offdiag: np.ndarray) -> np.ndarray:
+def _expm_batch_bidiagonal(z: np.ndarray, offdiag: complex) -> np.ndarray:
     """Top-right entries of expm(diag(z) + offdiag * superdiag(1)) for a batch.
 
-    z : (B, m) complex with mean already removed per row; offdiag : (B,)
-    complex, one superdiagonal value per row.  Scaling-squaring with a
-    fixed-degree Taylor step; matrices are tiny (m <= ~9) and upper
+    z : (B, m) complex with mean already removed per row.  Scaling-squaring
+    with a fixed-degree Taylor step; matrices are tiny (m <= ~9) and upper
     triangular, so plain batched matmuls are accurate and fast.
     """
     B, m = z.shape
@@ -180,7 +179,7 @@ def _expm_batch_bidiagonal(z: np.ndarray, offdiag: np.ndarray) -> np.ndarray:
     idx = np.arange(m)
     M[:, idx, idx] = z
     if m > 1:
-        M[:, idx[:-1], idx[1:]] = offdiag[:, None]
+        M[:, idx[:-1], idx[1:]] = offdiag
     # row-sum norm per matrix; scale so the Taylor argument stays <= 1/2
     norm = np.abs(M).sum(axis=2).max(axis=1)
     s = np.ceil(np.log2(np.maximum(norm, 1e-300) / 0.5))
@@ -199,21 +198,19 @@ def _expm_batch_bidiagonal(z: np.ndarray, offdiag: np.ndarray) -> np.ndarray:
     return acc[:, 0, m - 1], s
 
 
-def dd_exp_batch(nodes: np.ndarray, t):
+def dd_exp_batch(nodes: np.ndarray, t: float):
     """Vectorized divided differences of exp(-i x t) over many node lists.
 
-    nodes : (B, m) real; t : one time for every row, or one per row, shape
-    (B,).  Returns (values (B,), confluent flags (B,), error estimates
-    (B,)).  Rows whose minimum pairwise gap exceeds the cluster tolerance go
-    through the alternating closed sum; clustered or confluent rows go
-    through the bidiagonal matrix exponential.  A row with m > 1 nodes at
-    t = 0 is the divided difference of a constant: exactly 0, estimate 0.
-    Every row is evaluated on its own, so a batch of per-row times gives
-    bitwise the values of one scalar-time call per distinct time.
+    nodes : (B, m) real.  Returns (values (B,), confluent flags (B,),
+    error estimates (B,)).  Rows whose minimum pairwise gap exceeds the
+    cluster tolerance go through the alternating closed sum; clustered or
+    confluent rows go through the bidiagonal matrix exponential.  With
+    m > 1 nodes at t = 0 every row is the divided difference of a constant:
+    exactly 0, estimate 0.
     """
     nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
     B, m = nodes.shape
-    t = np.full(B, t, dtype=float)
+    t = float(t)
     values = np.zeros(B, dtype=complex)
     errs = np.zeros(B)
     if m == 1:
@@ -226,11 +223,11 @@ def dd_exp_batch(nodes: np.ndarray, t):
     min_gap = np.abs(diff[:, iu[0], iu[1]]).min(axis=1)
     scale = np.maximum(np.abs(nodes).max(axis=1), 1.0)
     clustered = min_gap <= CLUSTER_RTOL * scale
+    if t == 0.0:
+        return values, clustered, errs
 
-    # t = 0 rows keep value 0 and estimate 0
-    moving = t != 0.0
-    confluent = clustered & moving
-    plain = ~clustered & moving
+    confluent = clustered.copy()
+    plain = ~clustered
     if np.any(plain):
         d = diff[plain]
         # signed product over j != i of (x_i - x_j); row-wise via masked prod
@@ -240,7 +237,7 @@ def dd_exp_batch(nodes: np.ndarray, t):
         est = _EPS * m * (1.0 / np.abs(denom)).sum(axis=1)
         # cancellation beyond ~1e-12 absolute: reroute through the stable path
         bad = est > 1e-12
-        phase = np.exp(-1j * nodes[plain] * t[plain, None])
+        phase = np.exp(-1j * nodes[plain] * t)
         vals_plain = (phase / denom).sum(axis=1)
         idx_plain = np.flatnonzero(plain)
         values[idx_plain] = vals_plain
@@ -248,11 +245,10 @@ def dd_exp_batch(nodes: np.ndarray, t):
         confluent[idx_plain[bad]] = True
     if np.any(confluent):
         sub = nodes[confluent]
-        tc = t[confluent]
         mu = sub.mean(axis=1)
-        z = (-1j * tc)[:, None] * (sub - mu[:, None])
-        top, s = _expm_batch_bidiagonal(z, -1j * tc)
-        values[confluent] = np.exp(-1j * mu * tc) * top
+        z = -1j * t * (sub - mu[:, None])
+        top, s = _expm_batch_bidiagonal(z, -1j * t)
+        values[confluent] = np.exp(-1j * mu * t) * top
         errs[confluent] = _EPS * (m ** 2) * (2.0 ** s)
     return values, clustered, errs
 

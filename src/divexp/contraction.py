@@ -16,9 +16,11 @@ differences, so repeated nodes (the delta-contracted indices) are handled as
 limits rather than 0/0.
 
 The resummed secular aggregates take the t^0 classes of the lower orders
-exactly, from the Laurent series of the resolvent at each shifted level: a few
-cut-off power-series products per level, with no time sampling, divided
-difference or matrix exponential.  extract_secular_coefficients, a
+exactly, from the Laurent series of the resolvent at each shifted level
+(divexp.improved, which builds its improved kernels from the same series): a
+few cut-off power-series products per level, with no time sampling, divided
+difference or matrix exponential.  The revision energies they multiply come
+from improved.revision_energies.  extract_secular_coefficients, a
 least-squares fit of sampled terms on a time stencil, stays as the
 independent check of those classes.
 """
@@ -395,29 +397,6 @@ def secular_classes_for_order(l: int) -> tuple[int, ...]:
     raise ValueError("resummed aggregates are defined for l in {4, 5, 6}")
 
 
-def _laurent_coefficients(e: np.ndarray, g: np.ndarray, m: int) -> np.ndarray:
-    """Coefficients [w^0 .. w^m] of Q_j(w) (g Q_j(w))^m at every level j.
-
-    Returns an array (m + 1, D, D, D) indexed [k, row, col, j]; see
-    secular_aggregate_coefficients for Q_j.  Q_j is diagonal, so each of the
-    m cut-off series products is a product by g and a column scaling.  The
-    t^a exp(-i e_j t) class of the order-m term is (-i)^a / a! times
-    coefficient m - a.
-    """
-    eye = np.eye(e.size)
-    r = improved._masked_reciprocal(e)  # 1 / (e_j - e_k), zero at k = j
-    # q[n, j, k]: the w^n coefficient of the diagonal of Q_j
-    q = np.stack([eye] + [-((-r) ** n) for n in range(1, m + 1)])
-    series = (q[:, :, None, :] * eye).astype(complex)  # [n, j, row, col]
-    for _ in range(m):
-        tail = series @ g
-        series = np.stack([
-            sum(tail[p] * q[n - p, :, None, :] for p in range(n + 1))
-            for n in range(m + 1)
-        ])
-    return np.moveaxis(series, 1, 3)
-
-
 def secular_aggregate_coefficients(
     m: RedividedHamiltonian, l: int
 ) -> dict[int, np.ndarray]:
@@ -437,8 +416,9 @@ def secular_aggregate_coefficients(
     gvals = {2: rev.g2, 3: rev.g3, 4: rev.g4, 5: rev.g5}
     powers = secular_classes_for_order(l)
     e, g = m.shifted_energies, m.offdiagonal
+    eye = np.eye(m.dim)
     e_class = [
-        _laurent_coefficients(e, g, order)[order]
+        improved._laurent_coefficients(e, g, order, eye)[order]
         for order in range(max(l - 2 * min(powers), 0) + 1)
     ]
     out = {}

@@ -2,15 +2,21 @@
 
 Secular contributions (powers of t times oscillatory factors) of the higher
 series orders resum into level-dependent phase shifts.  The order-a shift of
-level g is the revision energy G^(a)_g, built from off-diagonal couplings and
-shifted-level differences; adding them to the exponents yields improved
-perturbed solutions, transition probabilities (and a revised golden rule),
-and improved perturbed energies and states.  Everything here assumes a
+level g is the revision energy G^(a)_g; adding them to the exponents yields
+improved perturbed solutions, transition probabilities (and a revised golden
+rule), and improved perturbed energies and states.  Everything here assumes a
 nondegenerate shifted spectrum and gates on it.
 
-An improved solution is a phase-matrix product: its kernel is linear in the
-phase vector exp(-i freq t), so D kernel builds on unit phase vectors give a
-D x D matrix N, and the amplitudes on a time grid are exp(-i t freq) @ N^T.
+Two general recursions carry the whole scheme.  The Rayleigh-Schroedinger
+recursion, run for every level at once, gives the revision energies (the
+order-a energies) and the perturbed-state corrections.  Kato's Laurent
+series of the resolvent at each shifted level gives the t^0 classes of every
+series order: the improved kernel of solution order k is the order-k class
+times the shifted phases exp(-i freq t), and divexp.contraction takes the
+secular aggregates from the same series.  The kernel is linear in the
+phases, so an improved solution on a time grid is one series build with psi0
+as its right operand, a D x D matrix N, and one phase-matrix product
+exp(-i t freq) @ N^T.
 """
 
 from __future__ import annotations
@@ -80,6 +86,57 @@ def _masked_reciprocal(e: np.ndarray) -> np.ndarray:
     return r
 
 
+def _laurent_coefficients(
+    e: np.ndarray, g: np.ndarray, m: int, right: np.ndarray
+) -> np.ndarray:
+    """Coefficients [w^0 .. w^m] of Q_j(w) (g Q_j(w))^m right at every level j.
+
+    Q_j(w) = P_j + sum_{n>=1} (-1)^(n-1) S_j^n w^n with P_j = e_j e_j^T and
+    S_j = diag(1 / (e_j - e_k)), zero at k = j: w^-1 Q_j(w) is the resolvent
+    (z - e)^-1 near z = e_j, w = z - e_j (Kato's Laurent series).  The m
+    cut-off series products are built from the right, each a product by g and
+    one by the diagonal Q_j.  Returns an array (m + 1, D, C, D) indexed
+    [k, row, col, j] for a (D, C) ``right``.  With right = I the
+    t^a exp(-i e_j t) class of the order-m series term is (-i)^a / a! times
+    coefficient m - a.
+    """
+    dim = e.size
+    r = _masked_reciprocal(e)  # 1 / (e_j - e_k), zero at k = j
+    # q[j, k, n]: the w^n coefficient of the diagonal of Q_j
+    q = np.stack([np.eye(dim)] + [-((-r) ** n) for n in range(1, m + 1)], axis=-1)
+    # the product by Q_j of a series cut off at w^m, as a lower-triangular
+    # Toeplitz matrix over the powers: qt[j, k, n, p] = q[j, k, n - p]
+    qt = np.zeros(q.shape + (m + 1,))
+    for p in range(m + 1):
+        qt[:, :, p:, p] = q[:, :, : m + 1 - p]
+    series = q[:, :, :, None] * right[:, None, :]  # [j, row, n, col]
+    for _ in range(m):
+        series = qt @ (g @ series.reshape(dim, dim, -1)).reshape(series.shape)
+    return np.transpose(series, (2, 1, 3, 0))
+
+
+def _rs_series(e: np.ndarray, g: np.ndarray, n: int):
+    """Rayleigh-Schroedinger energies and states of every level through order n.
+
+    With S[k, j] = 1 / (e_j - e_k), zero at k = j, and Psi^(0) = I:
+    E^(k) = diag(g Psi^(k-1)) and
+    Psi^(k) = S o (g Psi^(k-1) - sum_{b=1..k} Psi^(k-b) E^(b)),
+    where column j of Psi^(k) is the order-k state correction of level j
+    (zero on level j itself).  Returns the lists [E^(0) .. E^(n)], E^(0) = e,
+    and [Psi^(0) .. Psi^(n)].
+    """
+    s = -_masked_reciprocal(e)
+    energies = [e]
+    states = [np.eye(e.size, dtype=complex)]
+    for k in range(1, n + 1):
+        g_psi = g @ states[k - 1]
+        energies.append(np.diag(g_psi))
+        # the b = k term, Psi^(0) E^(k), is diagonal, where S vanishes
+        lower = sum(states[k - b] * energies[b] for b in range(1, k))
+        states.append(s * (g_psi - lower))
+    return energies, states
+
+
 def _real_checked(values: np.ndarray, what: str) -> np.ndarray:
     scale = np.maximum(np.abs(values), 1.0)
     worst = float(np.max(np.abs(values.imag) / scale, initial=0.0))
@@ -93,50 +150,23 @@ def revision_energies(
 ) -> RevisionEnergies:
     """Per-level revision energies G^(2..max_order) and the shifted levels.
 
-    G^(2)_g sums |g_{g g1}|^2 over inverse level differences; G^(3) is the
-    closed triple loop; G^(4) and G^(5) combine the loop sums with their
-    pair-product counter-terms so only genuine (anti-contracted) paths
-    contribute.  All values are real for a Hermitian coupling.
+    G^(a) is the order-a Rayleigh-Schroedinger energy of each level on the
+    redivided split (the coupling has no diagonal, so the order-1 energy
+    vanishes).  All values are real for a Hermitian coupling.
     """
     if not 2 <= max_order <= 5:
         raise ValueError("max_order must lie in 2..5")
     require_nondegenerate(m, default_gap_tol(m) if gap_tol is None else gap_tol)
     e = m.shifted_energies
-    g = m.offdiagonal
-    dim = m.dim
-    R = _masked_reciprocal(e)
-    R2 = R * R
-    absg2 = np.abs(g) ** 2
-
-    g2 = (absg2 * R).sum(axis=1)
-    g3 = g4 = g5 = np.zeros(dim)
-    W = g * R
-    if max_order >= 3:
-        Wg = W @ g
-        g3 = _real_checked(np.einsum("ij,ij,ji->i", Wg, R, g), "G^(3)")
-    if max_order >= 4:
-        Y = R * g.T  # Y[i, k] = g[k, i] / (e_i - e_k)
-        loops = Y @ g.T  # loops[i, j] = sum_k g[j, k] g[k, i] / (e_i - e_k)
-        s2 = (absg2 * R2).sum(axis=1)
-        term1 = np.einsum("ij,ij,ij->i", Wg, loops, R)
-        g4 = _real_checked(term1, "G^(4)") - s2 * g2
-    if max_order >= 5:
-        term1 = np.einsum("ij,jk,ik->i", Wg * R, g, loops * R)
-        W2g = (g * R2) @ g
-        # the two asymmetric-denominator loop sums are conjugates of each
-        # other; only their sum is real
-        g3_21 = np.einsum("ij,ij,ji->i", W2g, R, g)
-        g3_12 = np.einsum("ij,ij,ji->i", Wg, R2, g)
-        g5 = _real_checked(
-            term1 - (s2 * g3 + g2 * (g3_21 + g3_12)), "G^(5)"
-        )
-
-    parts = {2: g2, 3: g3, 4: g4, 5: g5}
+    energies, _ = _rs_series(e, m.offdiagonal, max_order)
+    parts = {a: np.zeros(m.dim) for a in range(2, 6)}
     shifted = e.copy()
     for a in range(2, max_order + 1):
+        parts[a] = _real_checked(energies[a], f"G^({a})")
         shifted = shifted + parts[a]
     return RevisionEnergies(
-        g2=g2, g3=g3, g4=g4, g5=g5, shifted=shifted, max_order=max_order
+        g2=parts[2], g3=parts[3], g4=parts[4], g5=parts[5],
+        shifted=shifted, max_order=max_order,
     )
 
 
@@ -160,55 +190,15 @@ def improved_kernel(
 ) -> np.ndarray:
     """Kernel matrix of one improved solution order at time t.
 
-    ``freq`` holds the (shifted) exponent frequencies; level differences in
-    denominators always use the unshifted ``e``.  With freq == e this is the
-    pure oscillatory class of the plain order-k term.
+    The t^0 classes of the order-k series term, one per level j, each times
+    exp(-i freq_j t).  ``freq`` holds the (shifted) exponent frequencies;
+    level differences in denominators always use the unshifted ``e``.  With
+    freq == e this is the pure oscillatory class of the plain order-k term.
     """
-    return _kernel(e, g, np.exp(-1j * freq * t), order)
-
-
-def _kernel(e: np.ndarray, g: np.ndarray, ph: np.ndarray, order: int) -> np.ndarray:
-    """Order-k kernel matrix for the phase vector ph; linear in ph."""
-    dim = e.size
-    R = _masked_reciprocal(e)
-    R2 = R * R
-    W = g * R
-    absg2 = np.abs(g) ** 2
-    offmask = 1.0 - np.eye(dim)
-    if order == 0:
-        return np.diag(ph)
-    if order == 1:
-        return ph[:, None] * W - W * ph[None, :]
-    if order == 2:
-        diag = ph * (R2 * absg2).sum(axis=1) - (R2 * absg2) @ ph
-        gW = g @ W
-        M = ph[:, None] * ((W @ g) * R) - (W * ph[None, :]) @ W + (gW * R) * ph[None, :]
-        return -np.diag(diag) + M * offmask
-    if order == 3:
-        Wg = W @ g
-        W2 = g * R2
-        W2g = W2 @ g
-        gW = g @ W
-        g2 = (absg2 * R).sum(axis=1)
-        s2q = (R2 * absg2).sum(axis=1)
-        Q1 = Wg * R
-        # diagonal block: frequencies on the outer level, then the two inner
-        u1 = np.einsum("ij,ij,ji->i", Wg, R2, g)
-        u1b = np.einsum("ij,ij,ji->i", W2g, R, g)
-        u2 = np.einsum("ij,j,ji->i", W2, ph, Wg)
-        u3 = np.einsum("ij,j,ij,ji->i", gW, ph, R2, g)
-        diag = -ph * (u1 + u1b) + u2 - u3
-        # column-frequency loop sums (over the final level's ladder)
-        q1 = (absg2.T * R).sum(axis=0)
-        q2 = (absg2.T * R2).sum(axis=0)
-        Ma = -(ph * g2)[:, None] * (R2 * g) - (ph * s2q)[:, None] * W
-        Mb = W * (q2 * ph)[None, :] + (R2 * g) * (q1 * ph)[None, :]
-        v1 = ph[:, None] * ((Q1 @ g) * R)
-        v2 = (W * ph[None, :]) @ Q1
-        v3 = ((gW * R) * ph[None, :]) @ W
-        v4 = -(g @ (gW * R)) * R * ph[None, :]
-        return np.diag(diag) + (Ma + Mb + v1 - v2 + v3 + v4) * offmask
-    raise ValueError("order must be 0..3")
+    if order not in SHIFT_DEPTH:
+        raise ValueError("order must be 0..3")
+    classes = _laurent_coefficients(e, g, order, np.eye(e.size))[order]
+    return classes @ np.exp(-1j * freq * t)
 
 
 def improved_solution(
@@ -225,12 +215,10 @@ def improved_solution(
     differences in denominators keep the unshifted (redivided) energies.
     At t = 0 each order reduces exactly to its plain counterpart.
 
-    The kernel is linear in its phase vector ph = exp(-i freq t), so the
-    matrix N whose column j is kernel(unit_j) @ psi0 serves every time: the
-    amplitudes are exp(-i outer(times, freq)) @ N^T, D kernel builds and one
-    matrix product in place of one kernel per time.  That is more work only
-    with fewer times than levels (T < D), which no caller in the package or
-    its benchmark asks for.
+    The kernel is linear in its phase vector exp(-i freq t), so the matrix N
+    whose column j is the t^0 class of level j applied to psi0 serves every
+    time: N is one Laurent-series build with psi0 as the right operand, and
+    the amplitudes are exp(-i outer(times, freq)) @ N^T.
     """
     if order not in SHIFT_DEPTH:
         raise ValueError("order must be 0..3")
@@ -242,9 +230,7 @@ def improved_solution(
     g = m.offdiagonal
     a0 = psi0.amplitudes
     freq = e + _shift_sum(rev, SHIFT_DEPTH[order])
-    N = np.column_stack(
-        [_kernel(e, g, unit, order) @ a0 for unit in np.eye(m.dim, dtype=complex)]
-    )
+    N = _laurent_coefficients(e, g, order, a0[:, None])[order][:, 0, :]
     out = np.exp(-1j * np.outer(times, freq)) @ N.T
     return ImprovedSolution(order=order, times=times, amplitudes=out, revisions=rev)
 
@@ -331,8 +317,8 @@ def revised_golden_rule(
     product approximation.  ``zero_shift`` evaluates the same integral with
     the shift switched off (the integrand then vanishes identically).
     """
-    if not T > 0:
-        raise GoldenRuleError("T must be positive")
+    if not (math.isfinite(T) and T > 0):
+        raise GoldenRuleError(f"T must be finite and positive, got {T}")
     if not (math.isfinite(rel_tol) and rel_tol > 0):
         raise GoldenRuleError(f"rel_tol must be finite and positive, got {rel_tol}")
     dim = m.dim
@@ -418,20 +404,14 @@ def improved_state_coefficients(
 ) -> np.ndarray:
     """Order-1 or order-2 perturbed-state coefficients for one level.
 
+    Column ``level`` of the order-k Rayleigh-Schroedinger state correction.
     The component on the reference level stays at its zeroth-order value
     (no normalization correction), so the returned vector is zero there.
     """
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
-    dim = m.dim
-    if not 0 <= level < dim:
+    if not 0 <= level < m.dim:
         raise IndexError("level index out of range")
     require_nondegenerate(m, default_gap_tol(m) if gap_tol is None else gap_tol)
-    e = m.shifted_energies
-    g = m.offdiagonal
-    R = _masked_reciprocal(e)
-    col = R[:, level]  # 1/(e_g - e_level), zero at the level itself
-    if order == 1:
-        return -g[:, level] * col
-    inner = g[:, level] * col
-    return col * (g @ inner)
+    _, states = _rs_series(m.shifted_energies, m.offdiagonal, order)
+    return states[order][:, level]

@@ -5,15 +5,14 @@ The order-l contribution to <g| exp(-i H t) |g'> is a sum over index tuples
 energy tuple times the product of coupling matrix elements along the tuple.
 One private kernel, _tuple_sum, evaluates every such sum: the series terms of
 the tuple route and, with some indices forced equal and others unequal, the
-contraction and mixed pieces of divexp.contraction.  It takes one time or a
-time array; per row of the result it builds the tuples and their distinct node
-multisets once and makes one dd_exp_batch call over every (time, multiset)
-pair, so a grid of times costs one pass, not one per time.  Two
-evaluation routes give the same terms: direct tuple enumeration (cost ~
-D^(l+1) tuples) and the block-bidiagonal matrix exponential whose top block
-row carries every order at once (cost ~ ((l+1) D)^3).  The route is fixed by
-the dimension D and the order l: tuples when l == 1 or D^(l-2) <= (l+1)^2, the
-block exponential otherwise.  The block route refuses matrices of side (l+1) D
+contraction and mixed pieces of divexp.contraction.  Per row of the result it
+builds the tuples and their distinct node multisets and makes one
+dd_exp_batch call over the multisets.  Two evaluation routes give the same
+terms: direct tuple enumeration (cost ~ D^(l+1) tuples) and the
+block-bidiagonal matrix exponential whose top block row carries every order
+at once (cost ~ ((l+1) D)^3).  The route is fixed by the dimension D and the
+order l: tuples when l == 1 or D^(l-2) <= (l+1)^2, the block exponential
+otherwise.  The block route refuses matrices of side (l+1) D
 above MAX_BLOCK_SIDE = 2048 with BudgetExceededError.  evolve always takes the
 block route: the generator A does not depend on t, so one exponential exp(h A)
 steps the state across an evenly spaced time grid, and each time off that grid
@@ -96,16 +95,13 @@ def _tuple_sum(energies, coupling, classes, ne_pairs, t):
 
     Tuple positions 0..l in one group of ``classes`` share one index, and the
     positions of each pair in ``ne_pairs`` must differ.  Entry (a, b) sums over
-    the tuples that start at a and end at b.  ``t`` is a scalar, giving a
-    (D, D) matrix, or a 1-d array of T times, giving (T, D, D).  Each row a
-    builds its tuples (at most D^(len(classes) - 1)) and their distinct node
-    multisets once, folds the coupling products into S[u, b] per multiset u
-    and end b, and takes one dd_exp_batch call over every (time, multiset)
-    pair; row a at every time is then one product of those values with S.
+    the tuples that start at a and end at b, at the one time ``t``.  Each row
+    a builds its tuples (at most D^(len(classes) - 1)) and their distinct node
+    multisets, folds the coupling products into S[u, b] per multiset u and
+    end b, and takes one dd_exp_batch call over the multisets; row a is then
+    one product of those values with S.
     """
     dim = energies.size
-    times = np.asarray(t, dtype=float)
-    ts = times.reshape(-1)
     l = sum(map(len, classes)) - 1
     classes = sorted(classes, key=lambda c: 0 not in c)  # the class of a first
     class_of = np.empty(l + 1, dtype=np.intp)
@@ -115,7 +111,7 @@ def _tuple_sum(energies, coupling, classes, ne_pairs, t):
     free = np.indices((dim,) * n_free).reshape(n_free, dim**n_free).T
     # a sorted tuple read as one base-D integer, while that fits in int64
     digits = dim ** np.arange(l, -1, -1) if dim ** (l + 1) < 2**63 else None
-    out = np.zeros((ts.size, dim, dim), dtype=complex)
+    out = np.zeros((dim, dim), dtype=complex)
     for a in range(dim):
         idx = np.column_stack([np.full(len(free), a), free])[:, class_of]
         for i, j in ne_pairs:
@@ -133,10 +129,9 @@ def _tuple_sum(energies, coupling, classes, ne_pairs, t):
         n_sets = first.size
         S = np.zeros(n_sets * dim, dtype=complex)
         np.add.at(S, inv.reshape(-1) * dim + idx[:, l], weights)
-        nodes = np.tile(energies[rows[first]], (ts.size, 1))
-        vals, _, _ = dd_exp_batch(nodes, np.repeat(ts, n_sets))
-        out[:, a] = vals.reshape(ts.size, n_sets) @ S.reshape(n_sets, dim)
-    return out if times.ndim else out[0]
+        vals, _, _ = dd_exp_batch(energies[rows[first]], t)
+        out[a] = vals @ S.reshape(n_sets, dim)
+    return out
 
 
 def _order_matrix_tuples(energies, coupling, l, t):

@@ -22,7 +22,7 @@ from divexp import (
     series_term,
     third_order_pieces,
 )
-from divexp import coeff, contraction, propagator
+from divexp import coeff, contraction, improved, propagator
 from divexp.contraction import pattern_piece_matrix
 from divexp.propagator import oracle_block_order, series_order_matrix
 
@@ -263,7 +263,7 @@ def test_aggregates_match_extraction(rng):
 
 def _class_terms(e, g, order, t):
     """Each t^a exp(-i E_j t) term of one series order, from its exact classes."""
-    coeffs = contraction._laurent_coefficients(e, g, order)
+    coeffs = improved._laurent_coefficients(e, g, order, np.eye(e.size))
     return np.stack([
         (-1j * t) ** a / math.factorial(a) * coeffs[order - a] * np.exp(-1j * e * t)
         for a in range(order + 1)
@@ -293,7 +293,7 @@ def test_aggregates_match_laurent_classes(rng):
         m = redivide(random_offdiag_model(rng, dim, coupling=0.3))
         e, g = m.shifted_energies, m.offdiagonal
         for l in (4, 5, 6):
-            coeffs = contraction._laurent_coefficients(e, g, l)
+            coeffs = improved._laurent_coefficients(e, g, l, np.eye(e.size))
             for a, pred in secular_aggregate_coefficients(m, l).items():
                 want = (-1j) ** a / math.factorial(a) * coeffs[l - a]
                 scale = np.max(np.abs(want))

@@ -37,6 +37,29 @@ def test_revision_energies_two_state_golden():
     assert rev.shifted[0] == pytest.approx(-0.0099, abs=1e-15)
 
 
+def test_revision_energies_match_the_eigenvalue_branch(rng):
+    # G^(n)_j is the n-th Taylor coefficient in lam of the eigenvalue of
+    # diag(E') + lam g through E'_j, taken by a trapezoid sum on the circle
+    # |lam| = rho.  At rho = min_gap / (4 |g|) every eigenvalue lies within
+    # min_gap / 4 of its own level (Bauer-Fike), so the nearest one follows
+    # the branch.
+    n_points = 64
+    for dim in range(3, 9):
+        m = redivide(random_offdiag_model(rng, dim))
+        e, g = m.shifted_energies, m.offdiagonal
+        rev = revision_energies(m, 5)
+        gaps = np.abs(e[:, None] - e[None, :]) + np.diag(np.full(dim, np.inf))
+        rho = gaps.min() / (4.0 * np.linalg.norm(g, 2))
+        lam = rho * np.exp(2j * np.pi * np.arange(n_points) / n_points)
+        branch = np.empty((n_points, dim), dtype=complex)
+        for k, x in enumerate(lam):
+            w = np.linalg.eigvals(np.diag(e) + x * g)
+            branch[k] = w[np.argmin(np.abs(w[None, :] - e[:, None]), axis=1)]
+        for n, got in zip(range(2, 6), (rev.g2, rev.g3, rev.g4, rev.g5)):
+            want = (branch * lam[:, None] ** -n).mean(axis=0)
+            assert np.max(np.abs(got - want)) <= 1e-7 * np.max(np.abs(got)), (dim, n)
+
+
 def test_revision_energies_reality(rng):
     for _ in range(5):
         m = redivide(random_offdiag_model(rng, 5, coupling=0.6))
@@ -98,20 +121,20 @@ def test_improved_solution_matches_per_time_kernel(rng):
             assert np.all(improved_solution(zero, psi0, times, order).amplitudes == 0)
 
 
-def test_improved_solution_builds_at_most_one_kernel_per_level(rng, monkeypatch):
+def test_improved_solution_takes_one_laurent_series_per_call(rng, monkeypatch):
     calls = []
-    real = improved._kernel
+    real = improved._laurent_coefficients
 
-    def counting(*args):
-        calls.append(args[-1])
-        return real(*args)
+    def counting(e, g, m, right):
+        calls.append((m, right.shape))
+        return real(e, g, m, right)
 
-    monkeypatch.setattr(improved, "_kernel", counting)
+    monkeypatch.setattr(improved, "_laurent_coefficients", counting)
     m = redivide(random_offdiag_model(rng, 3))
     for order in range(4):
         calls.clear()
         improved_solution(m, basis_state(3, 1), np.linspace(0.0, 9.0, 50), order)
-        assert calls == [order] * 3
+        assert calls == [(order, (3, 1))]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -271,6 +294,13 @@ def test_golden_rule_window_and_input_errors():
     w, rho = toy_density()
     with pytest.raises(GoldenRuleError):
         revised_golden_rule(m, 0, (w, -rho), T=5.0)
+
+
+@pytest.mark.parametrize("T", [np.inf, np.nan, 0.0, -1.0])
+def test_golden_rule_rejects_non_finite_or_non_positive_T(T):
+    # checked before any refinement runs
+    with pytest.raises(GoldenRuleError, match="T must be finite and positive"):
+        revised_golden_rule(toy_golden_model(), 0, toy_density(), T=T)
 
 
 @pytest.mark.parametrize("rel_tol", [0.0, -1e-4, float("nan")])

@@ -128,31 +128,6 @@ def test_tuple_sum_past_int64_keys():
     assert not np.any(big)
 
 
-def test_tuple_sum_time_array_matches_scalar_calls(rng):
-    from divexp.contraction import enumerate_patterns
-
-    times = np.array([0.0, 0.3, -1.1, 4.0, 0.3, 17.0])
-    off = redivide(random_offdiag_model(rng, 4))
-    full = random_hermitian_model(rng, 3)  # coupling with a diagonal
-    cases = [
-        (e, v, [(p,) for p in range(l + 1)], ())
-        for e, v in ((off.shifted_energies, off.offdiagonal),
-                     (full.energies, full.perturbation))
-        for l in (1, 2, 3, 4)
-    ]
-    cases += [
-        (off.shifted_energies, off.offdiagonal, p.classes, p.ne_pairs)
-        for l in (2, 3, 4) for p in enumerate_patterns(l)
-    ]
-    cases.append((full.energies, full.perturbation, ((0,), (1,), (2,)), ((0, 1), (1, 2))))
-    for e, v, classes, ne_pairs in cases:
-        got = propagator._tuple_sum(e, v, classes, ne_pairs, times)
-        want = np.stack([propagator._tuple_sum(e, v, classes, ne_pairs, t) for t in times])
-        assert got.shape == (times.size,) + v.shape
-        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
-        assert np.all(got[0] == 0)  # nothing moves at t = 0 beyond order 0
-
-
 def test_truncated_propagator_order_zero(small_redivided):
     t = 0.8
     U = truncated_propagator(small_redivided, 0, t)
