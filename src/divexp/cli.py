@@ -71,6 +71,11 @@ def cmd_propagate(args) -> int:
     times = _times(args)
     if args.state is not None:
         amps = json.loads(args.state)
+        if not isinstance(amps, list) or not all(
+            isinstance(z, list) and len(z) == 2 and {type(x) for x in z} <= {int, float}
+            for z in amps
+        ):
+            raise ValueError("--state must be a JSON list of [re, im] number pairs")
         psi0 = StateVector([complex(re, im) for re, im in amps])
     else:
         psi0 = basis_state(m.dim, args.initial)
@@ -172,6 +177,10 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_verify_identity(args) -> int:
+    if args.trials < 1:
+        raise ValueError(f"--trials must be >= 1, got {args.trials}")
+    if args.l_max < 1:
+        raise ValueError(f"--l-max must be >= 1, got {args.l_max}")
     if not 0.0 <= args.min_gap < 2.0:
         # nodes are drawn in [-1, 1], so no pair is ever 2 apart
         raise ValueError(f"--min-gap must lie in [0, 2), got {args.min_gap}")

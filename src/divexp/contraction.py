@@ -16,13 +16,13 @@ differences, so repeated nodes (the delta-contracted indices) are handled as
 limits rather than 0/0.
 
 The resummed secular aggregates take the t^0 classes of the lower orders
-exactly, from the Laurent series of the resolvent at each shifted level
-(divexp.improved, which builds its improved kernels from the same series): a
-few cut-off power-series products per level, with no time sampling, divided
-difference or matrix exponential.  The revision energies they multiply come
-from improved.revision_energies.  extract_secular_coefficients, a
-least-squares fit of sampled terms on a time stencil, stays as the
-independent check of those classes.
+exactly, as the series coefficients of each level's spectral projector
+(divexp.improved, which builds its improved kernels from the same classes):
+one Rayleigh-Schroedinger run gives both these classes and the revision
+energies they multiply, with no time sampling, divided difference or matrix
+exponential.  The projector form needs a Hermitian coupling, which every
+model has.  extract_secular_coefficients, a least-squares fit of sampled
+terms on a time stencil, stays as the independent check of those classes.
 """
 
 from __future__ import annotations
@@ -375,19 +375,6 @@ def extract_secular_coefficients(
     return np.transpose(coef, (2, 3, 0, 1))
 
 
-def _ordered_g_tuples(total: int, count: int):
-    """Ordered tuples of revision orders (each 2..5) with the given sum."""
-    if count == 0:
-        if total == 0:
-            yield ()
-        return
-    for b in range(2, 6):
-        rest = total - b
-        if 2 * (count - 1) <= rest <= 5 * (count - 1):
-            for tail in _ordered_g_tuples(rest, count - 1):
-                yield (b,) + tail
-
-
 def secular_classes_for_order(l: int) -> tuple[int, ...]:
     """Secular powers with closed resummed forms at order l."""
     if l in (4, 5):
@@ -403,34 +390,32 @@ def secular_aggregate_coefficients(
     """Predicted coefficient arrays of t^a exp(-i E_j t) classes at order l.
 
     The resummation rule: the t^a class of the order-l term is
-    (-i)^a / a! * sum over ordered revision-order tuples (b_1..b_a) and a
-    lower order m with b_1 + .. + b_a + m = l of prod_i G^(b_i) at the
-    frequency level times the t^0 class of the order-m term.  That class is
-    exact: the residue at z = E'_j of exp(-i z t) R (g R)^m, R = (z - E')^-1,
-    whose t^0 part is the w^m coefficient of Q_j(w) (g Q_j(w))^m with
-    Q_j(w) = P_j + sum_{n>=1} (-1)^(n-1) S_j^n w^n, P_j = e_j e_j^T and
-    S_j = diag(1 / (E'_j - E'_k)), zero at k = j (Kato's Laurent series of
-    the resolvent).  Requires a nondegenerate shifted spectrum.
+    (-i)^a / a! * sum over lower orders p of [lam^(l-p)] Delta_j(lam)^a times
+    the t^0 class of the order-p term, where
+    Delta_j(lam) = sum_{b=2..5} G^(b)_j lam^b at the frequency level j.  The
+    order-p class at level j is the lam^p coefficient of that level's
+    spectral projector of diag(E') + lam g, psi_j psi_j^H / (psi_j^H psi_j)
+    for the Rayleigh-Schroedinger state psi_j and a Hermitian g.  One
+    Rayleigh-Schroedinger run gives these classes and the G^(b).  Requires a
+    nondegenerate shifted spectrum.
     """
-    rev = improved.revision_energies(m, max_order=5)
-    gvals = {2: rev.g2, 3: rev.g3, 4: rev.g4, 5: rev.g5}
     powers = secular_classes_for_order(l)
-    e, g = m.shifted_energies, m.offdiagonal
-    eye = np.eye(m.dim)
-    e_class = [
-        improved._laurent_coefficients(e, g, order, eye)[order]
-        for order in range(max(l - 2 * min(powers), 0) + 1)
-    ]
+    rev, states = improved._revision_series(m, 5, None)
+    low = l - 2 * min(powers)
+    classes = improved._projector_series(states[: low + 1], np.eye(m.dim))
+    # delta[b] and power[b]: the lam^b coefficients of Delta and of Delta^a
+    delta = np.zeros((l + 1, m.dim))
+    delta[2:6] = np.stack([rev.g2, rev.g3, rev.g4, rev.g5])[: l - 1]
+    power = np.zeros_like(delta)
+    power[0] = 1.0
     out = {}
-    for a in powers:
-        pred = np.zeros((m.dim, m.dim, m.dim), dtype=complex)
-        for m_low in range(0, l - 2 * a + 1):
-            for btuple in _ordered_g_tuples(l - m_low, a):
-                gprod = np.ones(m.dim)
-                for b in btuple:
-                    gprod = gprod * gvals[b]
-                pred += e_class[m_low] * gprod[None, None, :]
-        out[a] = pred * (-1j) ** a / math.factorial(a)
+    for a in range(1, max(powers) + 1):
+        power, previous = np.zeros_like(power), power
+        for i in range(l + 1):
+            power[i:] += previous[i] * delta[: l + 1 - i]
+        if a in powers:
+            pred = sum(classes[p] * power[l - p] for p in range(l - 2 * a + 1))
+            out[a] = pred * (-1j) ** a / math.factorial(a)
     return out
 
 

@@ -7,16 +7,16 @@ improved perturbed solutions, transition probabilities (and a revised golden
 rule), and improved perturbed energies and states.  Everything here assumes a
 nondegenerate shifted spectrum and gates on it.
 
-Two general recursions carry the whole scheme.  The Rayleigh-Schroedinger
+One recursion carries the whole scheme.  The Rayleigh-Schroedinger
 recursion, run for every level at once, gives the revision energies (the
-order-a energies) and the perturbed-state corrections.  Kato's Laurent
-series of the resolvent at each shifted level gives the t^0 classes of every
-series order: the improved kernel of solution order k is the order-k class
-times the shifted phases exp(-i freq t), and divexp.contraction takes the
-secular aggregates from the same series.  The kernel is linear in the
-phases, so an improved solution on a time grid is one series build with psi0
-as its right operand, a D x D matrix N, and one phase-matrix product
-exp(-i t freq) @ N^T.
+order-a energies) and the perturbed states psi_j.  For a Hermitian coupling
+the spectral projector of level j is psi_j psi_j^H / (psi_j^H psi_j), and its
+order-k coefficient is the t^0 class of the order-k series term at level j:
+the improved kernel of solution order k is that class times the shifted
+phases exp(-i freq t), and divexp.contraction takes the secular aggregates
+from the same classes.  The kernel is linear in the phases, so an improved
+solution on a time grid is one Rayleigh-Schroedinger run, a D x D matrix N
+of classes applied to psi0, and one phase-matrix product exp(-i t freq) @ N^T.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 
 from .model import (
+    HERMITICITY_RTOL,
     RedividedHamiltonian,
     SplitHamiltonian,
     StateVector,
@@ -77,44 +78,6 @@ class TransitionReport:
     rate_delta: float | None = None
 
 
-def _masked_reciprocal(e: np.ndarray) -> np.ndarray:
-    """R[i, j] = 1 / (e_i - e_j) with zero diagonal."""
-    diff = e[:, None] - e[None, :]
-    np.fill_diagonal(diff, 1.0)
-    r = 1.0 / diff
-    np.fill_diagonal(r, 0.0)
-    return r
-
-
-def _laurent_coefficients(
-    e: np.ndarray, g: np.ndarray, m: int, right: np.ndarray
-) -> np.ndarray:
-    """Coefficients [w^0 .. w^m] of Q_j(w) (g Q_j(w))^m right at every level j.
-
-    Q_j(w) = P_j + sum_{n>=1} (-1)^(n-1) S_j^n w^n with P_j = e_j e_j^T and
-    S_j = diag(1 / (e_j - e_k)), zero at k = j: w^-1 Q_j(w) is the resolvent
-    (z - e)^-1 near z = e_j, w = z - e_j (Kato's Laurent series).  The m
-    cut-off series products are built from the right, each a product by g and
-    one by the diagonal Q_j.  Returns an array (m + 1, D, C, D) indexed
-    [k, row, col, j] for a (D, C) ``right``.  With right = I the
-    t^a exp(-i e_j t) class of the order-m series term is (-i)^a / a! times
-    coefficient m - a.
-    """
-    dim = e.size
-    r = _masked_reciprocal(e)  # 1 / (e_j - e_k), zero at k = j
-    # q[j, k, n]: the w^n coefficient of the diagonal of Q_j
-    q = np.stack([np.eye(dim)] + [-((-r) ** n) for n in range(1, m + 1)], axis=-1)
-    # the product by Q_j of a series cut off at w^m, as a lower-triangular
-    # Toeplitz matrix over the powers: qt[j, k, n, p] = q[j, k, n - p]
-    qt = np.zeros(q.shape + (m + 1,))
-    for p in range(m + 1):
-        qt[:, :, p:, p] = q[:, :, : m + 1 - p]
-    series = q[:, :, :, None] * right[:, None, :]  # [j, row, n, col]
-    for _ in range(m):
-        series = qt @ (g @ series.reshape(dim, dim, -1)).reshape(series.shape)
-    return np.transpose(series, (2, 1, 3, 0))
-
-
 def _rs_series(e: np.ndarray, g: np.ndarray, n: int):
     """Rayleigh-Schroedinger energies and states of every level through order n.
 
@@ -125,7 +88,9 @@ def _rs_series(e: np.ndarray, g: np.ndarray, n: int):
     (zero on level j itself).  Returns the lists [E^(0) .. E^(n)], E^(0) = e,
     and [Psi^(0) .. Psi^(n)].
     """
-    s = -_masked_reciprocal(e)
+    diff = e[:, None] - e[None, :]
+    np.fill_diagonal(diff, np.inf)
+    s = -1.0 / diff
     energies = [e]
     states = [np.eye(e.size, dtype=complex)]
     for k in range(1, n + 1):
@@ -137,12 +102,59 @@ def _rs_series(e: np.ndarray, g: np.ndarray, n: int):
     return energies, states
 
 
+def _projector_series(states: list, right: np.ndarray) -> list:
+    """Coefficients [P^(0) .. P^(n)] of every level's spectral projector.
+
+    ``states`` are the Rayleigh-Schroedinger states [Psi^(0) .. Psi^(n)] of
+    diag(e) + lam g.  For a Hermitian g the left eigenvector of level j is
+    the conjugate series, so P_j(lam) = psi_j phi_j^T with
+    phi_j = conj(psi_j) / (psi_j^H psi_j) and
+    psi_j = sum_k lam^k Psi^(k)[:, j] (Kato II 2).  With the norm series
+    N_k = sum_{a+b=k} diag(Psi^(a)^H Psi^(b)), N_0 = 1, phi^(s) follows from
+    sum_{c=0..s} N_c phi^(s-c) = conj(Psi^(s)), and P^(k) at level j is
+    sum_{a+s=k} Psi^(a)[:, j] (x) phi^(s)[:, j], the t^0 class of the
+    order-k series term.  Returns (D, C, D) arrays [row, col, j] of P^(k)
+    applied to the (D, C) ``right``.
+    """
+    psi = np.stack(states)  # [k, row, j]
+    gram = (psi.conj()[:, None] * psi).sum(axis=2)  # [a, b, j]
+    norm = [sum(gram[a, k - a] for a in range(k + 1)) for k in range(len(psi))]
+    phi = right.T @ psi.conj()  # [s, col, j]
+    for s in range(1, len(psi)):
+        for c in range(1, s + 1):
+            phi[s] -= norm[c] * phi[s - c]
+    return [
+        (psi[: k + 1, :, None] * phi[k::-1, None]).sum(axis=0) for k in range(len(psi))
+    ]
+
+
 def _real_checked(values: np.ndarray, what: str) -> np.ndarray:
     scale = np.maximum(np.abs(values), 1.0)
     worst = float(np.max(np.abs(values.imag) / scale, initial=0.0))
     if worst > REALITY_TOL:
         raise ValueError(f"{what} acquired imaginary residue {worst:.3e}")
     return values.real.copy()
+
+
+def _revision_series(
+    m: RedividedHamiltonian, max_order: int, gap_tol: float | None
+) -> tuple[RevisionEnergies, list]:
+    """revision_energies and the states [Psi^(0) .. Psi^(max_order)] of its run."""
+    if not 2 <= max_order <= 5:
+        raise ValueError("max_order must lie in 2..5")
+    require_nondegenerate(m, default_gap_tol(m) if gap_tol is None else gap_tol)
+    e = m.shifted_energies
+    energies, states = _rs_series(e, m.offdiagonal, max_order)
+    parts = {a: np.zeros(m.dim) for a in range(2, 6)}
+    shifted = e.copy()
+    for a in range(2, max_order + 1):
+        parts[a] = _real_checked(energies[a], f"G^({a})")
+        shifted = shifted + parts[a]
+    rev = RevisionEnergies(
+        g2=parts[2], g3=parts[3], g4=parts[4], g5=parts[5],
+        shifted=shifted, max_order=max_order,
+    )
+    return rev, states
 
 
 def revision_energies(
@@ -154,20 +166,7 @@ def revision_energies(
     redivided split (the coupling has no diagonal, so the order-1 energy
     vanishes).  All values are real for a Hermitian coupling.
     """
-    if not 2 <= max_order <= 5:
-        raise ValueError("max_order must lie in 2..5")
-    require_nondegenerate(m, default_gap_tol(m) if gap_tol is None else gap_tol)
-    e = m.shifted_energies
-    energies, _ = _rs_series(e, m.offdiagonal, max_order)
-    parts = {a: np.zeros(m.dim) for a in range(2, 6)}
-    shifted = e.copy()
-    for a in range(2, max_order + 1):
-        parts[a] = _real_checked(energies[a], f"G^({a})")
-        shifted = shifted + parts[a]
-    return RevisionEnergies(
-        g2=parts[2], g3=parts[3], g4=parts[4], g5=parts[5],
-        shifted=shifted, max_order=max_order,
-    )
+    return _revision_series(m, max_order, gap_tol)[0]
 
 
 def _finite_times(times) -> np.ndarray:
@@ -178,11 +177,7 @@ def _finite_times(times) -> np.ndarray:
 
 
 def _shift_sum(rev: RevisionEnergies, depth: int) -> np.ndarray:
-    parts = {2: rev.g2, 3: rev.g3, 4: rev.g4, 5: rev.g5}
-    s = np.zeros_like(rev.g2)
-    for a in range(2, depth + 1):
-        s = s + parts[a]
-    return s
+    return sum((rev.g2, rev.g3, rev.g4, rev.g5)[: depth - 1], np.zeros_like(rev.g2))
 
 
 def improved_kernel(
@@ -191,13 +186,20 @@ def improved_kernel(
     """Kernel matrix of one improved solution order at time t.
 
     The t^0 classes of the order-k series term, one per level j, each times
-    exp(-i freq_j t).  ``freq`` holds the (shifted) exponent frequencies;
-    level differences in denominators always use the unshifted ``e``.  With
-    freq == e this is the pure oscillatory class of the plain order-k term.
+    exp(-i freq_j t).  A class is the order-k coefficient of the level's
+    spectral projector, which needs a Hermitian ``g`` (to HERMITICITY_RTOL
+    of its largest entry; ValueError otherwise).  ``freq`` holds the
+    (shifted) exponent frequencies; denominators use the unshifted ``e``.
+    With freq == e this is the pure oscillatory class of the plain term.
     """
     if order not in SHIFT_DEPTH:
         raise ValueError("order must be 0..3")
-    classes = _laurent_coefficients(e, g, order, np.eye(e.size))[order]
+    g = np.asarray(g, dtype=complex)
+    asym = np.max(np.abs(g - g.conj().T), initial=0.0)
+    if asym > HERMITICITY_RTOL * np.max(np.abs(g), initial=0.0):
+        raise ValueError(f"g is not Hermitian: max |g - g^H| = {asym:.3e}")
+    _, states = _rs_series(e, g, order)
+    classes = _projector_series(states, np.eye(e.size))[order]
     return classes @ np.exp(-1j * freq * t)
 
 
@@ -217,20 +219,18 @@ def improved_solution(
 
     The kernel is linear in its phase vector exp(-i freq t), so the matrix N
     whose column j is the t^0 class of level j applied to psi0 serves every
-    time: N is one Laurent-series build with psi0 as the right operand, and
-    the amplitudes are exp(-i outer(times, freq)) @ N^T.
+    time: N comes from the states of the one Rayleigh-Schroedinger run that
+    also gives the revision energies, and the amplitudes are
+    exp(-i outer(times, freq)) @ N^T.
     """
     if order not in SHIFT_DEPTH:
         raise ValueError("order must be 0..3")
     if psi0.dim != m.dim:
         raise ValueError("state dimension does not match model")
     times = _finite_times(times)
-    rev = revision_energies(m, max_order=5, gap_tol=gap_tol)
-    e = m.shifted_energies
-    g = m.offdiagonal
-    a0 = psi0.amplitudes
-    freq = e + _shift_sum(rev, SHIFT_DEPTH[order])
-    N = _laurent_coefficients(e, g, order, a0[:, None])[order][:, 0, :]
+    rev, states = _revision_series(m, 5, gap_tol)
+    freq = m.shifted_energies + _shift_sum(rev, SHIFT_DEPTH[order])
+    N = _projector_series(states[: order + 1], psi0.amplitudes[:, None])[order][:, 0]
     out = np.exp(-1j * np.outer(times, freq)) @ N.T
     return ImprovedSolution(order=order, times=times, amplitudes=out, revisions=rev)
 
@@ -329,6 +329,8 @@ def revised_golden_rule(
     rho_v = np.asarray(rho[1], dtype=float).reshape(-1)
     if rho_e.size != rho_v.size or rho_e.size < 4:
         raise GoldenRuleError("density table needs matching arrays of length >= 4")
+    if not (np.all(np.isfinite(rho_e)) and np.all(np.isfinite(rho_v))):
+        raise GoldenRuleError("density energies and values must be finite")
     if np.any(np.diff(rho_e) <= 0):
         raise GoldenRuleError("density energies must be strictly increasing")
     if np.any(rho_v < 0):

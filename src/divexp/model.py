@@ -216,10 +216,13 @@ def load_model(source) -> SplitHamiltonian:
         raise ModelValidationError(
             f"dim mismatch: {energies.size} energies vs h1 {h1.shape}"
         )
+    labels = doc.get("labels")
+    if labels is not None and not (
+        isinstance(labels, list) and all(isinstance(s, str) for s in labels)
+    ):
+        raise ModelParseError("labels must be a list of strings")
 
-    return SplitHamiltonian(
-        energies=energies, perturbation=h1, labels=doc.get("labels")
-    )
+    return SplitHamiltonian(energies=energies, perturbation=h1, labels=labels)
 
 
 def load_model_path(path) -> SplitHamiltonian:

@@ -139,6 +139,35 @@ def test_verify_identity_rejects_unreachable_min_gap(gap, capsys):
     assert record["error"] == "ValueError" and "--min-gap" in record["message"]
 
 
+@pytest.mark.parametrize(
+    "argv, option",
+    [(["--trials", "0"], "--trials"), (["--l-max", "0"], "--l-max")],
+)
+def test_verify_identity_rejects_empty_suites(argv, option, capsys):
+    assert run_cli(["verify-identity"] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    record = json.loads(captured.err)
+    assert record["error"] == "ValueError" and option in record["message"]
+
+
+def test_bad_labels_give_the_error_record(tmp_path, capsys):
+    path = tmp_path / "labels.json"
+    doc = json.loads(dump_model(TwoStateExact(0.0, 1.0, 0.1).to_split_hamiltonian()))
+    path.write_text(json.dumps(dict(doc, labels=5)))
+    assert run_cli(["propagate", "--model", str(path)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ModelParseError"
+
+
+@pytest.mark.parametrize("state", ["[1, 0]", "[[1, 0], [0]]", '[[1, 0], ["0", 0]]', "{}"])
+def test_propagate_rejects_a_malformed_state(model_path, state, capsys):
+    assert run_cli(["propagate", "--model", model_path, "--state", state]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    record = json.loads(captured.err)
+    assert record["error"] == "ValueError" and "--state" in record["message"]
+
+
 def test_propagate_rejects_negative_initial_level(model_path, capsys):
     assert run_cli(["propagate", "--model", model_path, "--initial", "-1"]) == 2
     captured = capsys.readouterr()

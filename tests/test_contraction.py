@@ -262,12 +262,26 @@ def test_aggregates_match_extraction(rng):
 
 
 def _class_terms(e, g, order, t):
-    """Each t^a exp(-i E_j t) term of one series order, from its exact classes."""
-    coeffs = improved._laurent_coefficients(e, g, order, np.eye(e.size))
-    return np.stack([
-        (-1j * t) ** a / math.factorial(a) * coeffs[order - a] * np.exp(-1j * e * t)
-        for a in range(order + 1)
-    ])  # [a, row, col, j]
+    """Each t^a exp(-i E_j t) term of one series order, from its exact classes.
+
+    The order-l term is the lam^l coefficient of sum_j P_j(lam)
+    exp(-i (E_j + Delta_j(lam)) t), so its t^a class is (-i)^a / a! times
+    sum_p P^(p) [lam^(l-p)] Delta^a, with Delta_j(lam) = sum_b E^(b)_j lam^b
+    the Rayleigh-Schroedinger energy shift of level j through order l.
+    """
+    energies, states = improved._rs_series(e, g, order)
+    classes = improved._projector_series(states, np.eye(e.size))
+    delta = np.stack([np.zeros(e.size)] + energies[1:])  # [b, j]
+    power = np.zeros_like(delta)  # [lam^b] Delta^a, from a = 0
+    power[0] = 1.0
+    terms = []
+    for a in range(order + 1):
+        cls = sum(classes[p] * power[order - p] for p in range(order + 1))
+        terms.append((-1j * t) ** a / math.factorial(a) * cls * np.exp(-1j * e * t))
+        power = np.stack([
+            sum(power[i] * delta[b - i] for i in range(b + 1)) for b in range(order + 1)
+        ])
+    return np.stack(terms)  # [a, row, col, j]
 
 
 def test_laurent_classes_rebuild_the_series_term(rng):
@@ -287,17 +301,20 @@ def test_laurent_classes_rebuild_the_series_term(rng):
                 assert err <= 1e-13 * np.max(np.abs(terms)), (m.dim, l, t)
 
 
-def test_aggregates_match_laurent_classes(rng):
-    # the resummed G^(2..5) products against the exact classes of order l
-    for dim in (4, 5):
-        m = redivide(random_offdiag_model(rng, dim, coupling=0.3))
-        e, g = m.shifted_energies, m.offdiagonal
-        for l in (4, 5, 6):
-            coeffs = improved._laurent_coefficients(e, g, l, np.eye(e.size))
-            for a, pred in secular_aggregate_coefficients(m, l).items():
-                want = (-1j) ** a / math.factorial(a) * coeffs[l - a]
-                scale = np.max(np.abs(want))
-                assert np.max(np.abs(pred - want)) <= 1e-12 * scale, (dim, l, a)
+def test_secular_aggregates_take_one_rs_run_per_call(rng, monkeypatch):
+    calls = []
+    real = improved._rs_series
+
+    def counting(e, g, n):
+        calls.append(n)
+        return real(e, g, n)
+
+    monkeypatch.setattr(improved, "_rs_series", counting)
+    m = redivide(random_offdiag_model(rng, 4))
+    for l in (4, 5, 6):
+        calls.clear()
+        secular_aggregate_coefficients(m, l)
+        assert calls == [5]
 
 
 def test_aggregates_call_no_divided_difference_exponential_or_fit(rng, monkeypatch):

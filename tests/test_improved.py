@@ -60,6 +60,31 @@ def test_revision_energies_match_the_eigenvalue_branch(rng):
             assert np.max(np.abs(got - want)) <= 1e-7 * np.max(np.abs(got)), (dim, n)
 
 
+def test_projector_series_matches_the_eigenprojector_branch(rng):
+    # P^(n)_j is the n-th Taylor coefficient in lam of the eigenprojector
+    # V[:, i] (x) V^-1[i, :] of diag(E') + lam g for the eigenvalue i on the
+    # branch through E'_j, by the same trapezoid sum on |lam| = rho as the
+    # G^(n) test above.
+    n_points = 64
+    for dim in range(3, 9):
+        m = redivide(random_offdiag_model(rng, dim))
+        e, g = m.shifted_energies, m.offdiagonal
+        _, states = improved._rs_series(e, g, 5)
+        got = improved._projector_series(states, np.eye(dim))
+        gaps = np.abs(e[:, None] - e[None, :]) + np.diag(np.full(dim, np.inf))
+        rho = gaps.min() / (4.0 * np.linalg.norm(g, 2))
+        lam = rho * np.exp(2j * np.pi * np.arange(n_points) / n_points)
+        branch = np.empty((n_points, dim, dim, dim), dtype=complex)  # [k, row, col, j]
+        for k, x in enumerate(lam):
+            w, v = np.linalg.eig(np.diag(e) + x * g)
+            near = np.argmin(np.abs(w[None, :] - e[:, None]), axis=1)
+            branch[k] = np.einsum("rj,jc->rcj", v[:, near], np.linalg.inv(v)[near, :])
+        for n in range(6):
+            want = (branch * lam[:, None, None, None] ** -n).mean(axis=0)
+            scale = np.max(np.abs(got[n]))
+            assert np.max(np.abs(got[n] - want)) <= 1e-8 * scale, (dim, n)
+
+
 def test_revision_energies_reality(rng):
     for _ in range(5):
         m = redivide(random_offdiag_model(rng, 5, coupling=0.6))
@@ -121,20 +146,29 @@ def test_improved_solution_matches_per_time_kernel(rng):
             assert np.all(improved_solution(zero, psi0, times, order).amplitudes == 0)
 
 
-def test_improved_solution_takes_one_laurent_series_per_call(rng, monkeypatch):
+def test_improved_solution_takes_one_rs_run_per_call(rng, monkeypatch):
     calls = []
-    real = improved._laurent_coefficients
+    real = improved._rs_series
 
-    def counting(e, g, m, right):
-        calls.append((m, right.shape))
-        return real(e, g, m, right)
+    def counting(e, g, n):
+        calls.append(n)
+        return real(e, g, n)
 
-    monkeypatch.setattr(improved, "_laurent_coefficients", counting)
+    monkeypatch.setattr(improved, "_rs_series", counting)
     m = redivide(random_offdiag_model(rng, 3))
     for order in range(4):
         calls.clear()
         improved_solution(m, basis_state(3, 1), np.linspace(0.0, 9.0, 50), order)
-        assert calls == [(order, (3, 1))]
+        assert calls == [5]
+
+
+def test_improved_kernel_rejects_a_non_hermitian_coupling():
+    e = np.array([0.0, 1.0, 2.5])
+    g = np.array([[0, 0.1, 0], [0.1, 0, 0.2j], [0, 0.2j, 0]])
+    assert improved_kernel(e, 0.5 * (g + g.conj().T), e, 1, 0.3).shape == (3, 3)
+    for order in range(4):
+        with pytest.raises(ValueError, match="Hermitian"):
+            improved_kernel(e, g, e, order, 0.3)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -294,6 +328,17 @@ def test_golden_rule_window_and_input_errors():
     w, rho = toy_density()
     with pytest.raises(GoldenRuleError):
         revised_golden_rule(m, 0, (w, -rho), T=5.0)
+
+
+@pytest.mark.parametrize(
+    "column, index, bad",
+    [(0, 5, np.nan), (0, -1, np.inf), (1, 5, np.nan), (1, 20, np.inf)],
+)
+def test_golden_rule_rejects_a_non_finite_density_table(column, index, bad):
+    table = [a.copy() for a in toy_density()]
+    table[column][index] = bad
+    with pytest.raises(GoldenRuleError, match="finite"):
+        revised_golden_rule(toy_golden_model(), 0, tuple(table), T=5.0)
 
 
 @pytest.mark.parametrize("T", [np.inf, np.nan, 0.0, -1.0])

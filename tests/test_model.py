@@ -57,6 +57,12 @@ def test_parse_errors():
         load_model(json.dumps({"energies": [0, 1]}).encode())
 
 
+@pytest.mark.parametrize("labels", [5, "ab", ["a", 2], {"a": "b"}])
+def test_labels_must_be_a_list_of_strings(labels):
+    with pytest.raises(ModelParseError, match="labels"):
+        load_model(model_bytes([0.0, 1.0], np.zeros((2, 2)), labels=labels))
+
+
 def test_nan_and_dim_mismatch_rejected():
     with pytest.raises(ModelValidationError):
         SplitHamiltonian(energies=[0.0, np.nan], perturbation=np.zeros((2, 2)))
