@@ -103,102 +103,56 @@ class TermPiece:
             raise ValueError("N piece must have zero diagonal")
 
 
-class _Constraints:
-    """Union-find over tuple positions plus known-unequal root pairs."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        # adjacent positions always carry distinct indices (coupling is
-        # strictly off-diagonal)
-        self.unequal = {frozenset((i, i + 1)) for i in range(n - 1)}
-
-    def find(self, i: int) -> int:
-        while self.parent[i] != i:
-            self.parent[i] = self.parent[self.parent[i]]
-            i = self.parent[i]
-        return i
-
-    def copy(self) -> "_Constraints":
-        c = _Constraints.__new__(_Constraints)
-        c.parent = list(self.parent)
-        c.unequal = set(self.unequal)
-        return c
-
-    def relation(self, a: int, b: int) -> str | None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return "eq"
-        if frozenset((ra, rb)) in self.unequal:
-            return "ne"
-        return None
-
-    def merge(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        self.parent[rb] = ra
-        renamed = set()
-        for pair in self.unequal:
-            renamed.add(frozenset(self.find(x) for x in pair))
-        self.unequal = renamed
-
-    def forbid(self, a: int, b: int) -> None:
-        self.unequal.add(frozenset((self.find(a), self.find(b))))
-
-
-def _stage_pairs(l: int):
-    for j in range(1, l):
-        yield [(k, k + 1 + j) for k in range(l - j)]
-
-
 def enumerate_patterns(l: int) -> list[ContractionPattern]:
-    """All nontrivial contraction / anti-contraction patterns of order l."""
+    """All nontrivial contraction / anti-contraction patterns of order l.
+
+    One recursion over the stage pairs, in stage order, carrying ``label``:
+    ``label[i]`` is the equal-index class of tuple position i.  A pair is
+    forced ("k") when its ends share a label, or when an adjacent pair
+    (distinct, since the coupling is strictly off-diagonal) or an earlier
+    "n" pair already joins the same two labels.  Otherwise it branches: "c"
+    relabels the class of b to the class of a, "n" records (a, b) as
+    unequal.  The classes are the positions grouped by label, in order of
+    first occurrence.
+    """
     if not MIN_PATTERN_ORDER <= l <= MAX_PATTERN_ORDER:
         raise ValueError(
             f"unsupported order {l}: patterns are defined for "
             f"{MIN_PATTERN_ORDER} <= l <= {MAX_PATTERN_ORDER}"
         )
-    stages = list(_stage_pairs(l))
-    flat_pairs = [p for stage in stages for p in stage]
+    pairs = [(k, k + 1 + j) for j in range(1, l) for k in range(l - j)]
+    adjacent = [(i, i + 1) for i in range(l)]
     out: list[ContractionPattern] = []
 
-    def rec(pos: int, cons: _Constraints, letters: list[str], ne_pairs: list):
-        if pos == len(flat_pairs):
-            groups, k = [], 0
-            for stage in stages:
-                groups.append("".join(letters[k : k + len(stage)]))
-                k += len(stage)
-            roots = {}
-            for i in range(l + 1):
-                roots.setdefault(cons.find(i), []).append(i)
+    def rec(label: list[int], letters: str, ne_pairs: list[tuple[int, int]]):
+        if len(letters) == len(pairs):
+            groups, start = [], 0
+            for j in range(1, l):
+                groups.append(letters[start : start + l - j])
+                start += l - j
+            classes: dict[int, list[int]] = {}
+            for i, c in enumerate(label):
+                classes.setdefault(c, []).append(i)
             out.append(
                 ContractionPattern(
                     order=l,
                     groups=tuple(groups),
-                    classes=tuple(tuple(v) for v in roots.values()),
+                    classes=tuple(map(tuple, classes.values())),
                     ne_pairs=tuple(ne_pairs),
                 )
             )
             return
-        a, b = flat_pairs[pos]
-        rel = cons.relation(a, b)
-        if rel is not None:
-            letters.append("k")
-            rec(pos + 1, cons, letters, ne_pairs)
-            letters.pop()
+        a, b = pairs[len(letters)]
+        ends = {label[a], label[b]}
+        if len(ends) == 1 or any(
+            {label[x], label[y]} == ends for x, y in adjacent + ne_pairs
+        ):
+            rec(label, letters + "k", ne_pairs)
             return
-        eq = cons.copy()
-        eq.merge(a, b)
-        letters.append("c")
-        rec(pos + 1, eq, letters, ne_pairs)
-        letters.pop()
-        ne = cons.copy()
-        ne.forbid(a, b)
-        letters.append("n")
-        rec(pos + 1, ne, letters, ne_pairs + [(a, b)])
-        letters.pop()
+        rec([label[a] if c == label[b] else c for c in label], letters + "c", ne_pairs)
+        rec(label, letters + "n", ne_pairs + [(a, b)])
 
-    rec(0, _Constraints(l + 1), [], [])
+    rec(list(range(l + 1)), "", [])
     return out
 
 

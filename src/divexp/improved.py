@@ -32,7 +32,6 @@ from .model import (
     RedividedHamiltonian,
     SplitHamiltonian,
     StateVector,
-    default_gap_tol,
     redivide,
     require_nondegenerate,
 )
@@ -142,7 +141,7 @@ def _revision_series(
     """revision_energies and the states [Psi^(0) .. Psi^(max_order)] of its run."""
     if not 2 <= max_order <= 5:
         raise ValueError("max_order must lie in 2..5")
-    require_nondegenerate(m, default_gap_tol(m) if gap_tol is None else gap_tol)
+    require_nondegenerate(m, gap_tol)
     e = m.shifted_energies
     energies, states = _rs_series(e, m.offdiagonal, max_order)
     parts = {a: np.zeros(m.dim) for a in range(2, 6)}
@@ -324,7 +323,7 @@ def revised_golden_rule(
     dim = m.dim
     if not 0 <= from_level < dim:
         raise IndexError("level index out of range")
-    require_nondegenerate(m, default_gap_tol(m) if gap_tol is None else gap_tol)
+    require_nondegenerate(m, gap_tol)
     rho_e = np.asarray(rho[0], dtype=float).reshape(-1)
     rho_v = np.asarray(rho[1], dtype=float).reshape(-1)
     if rho_e.size != rho_v.size or rho_e.size < 4:
@@ -414,6 +413,6 @@ def improved_state_coefficients(
         raise ValueError("order must be 1 or 2")
     if not 0 <= level < m.dim:
         raise IndexError("level index out of range")
-    require_nondegenerate(m, default_gap_tol(m) if gap_tol is None else gap_tol)
+    require_nondegenerate(m, gap_tol)
     _, states = _rs_series(m.shifted_energies, m.offdiagonal, order)
     return states[order][:, level]

@@ -8,7 +8,6 @@ Basis order is file order; levels are never sorted.
 
 from __future__ import annotations
 
-import io
 import json
 from dataclasses import dataclass, field
 
@@ -248,8 +247,15 @@ def redivide(m: SplitHamiltonian) -> RedividedHamiltonian:
     return RedividedHamiltonian(base=m)
 
 
-def require_nondegenerate(m: RedividedHamiltonian, gap_tol: float) -> None:
-    """Raise DegeneracyError unless all shifted-level gaps exceed gap_tol."""
+def require_nondegenerate(
+    m: RedividedHamiltonian, gap_tol: float | None = None
+) -> None:
+    """Raise DegeneracyError unless all shifted-level gaps exceed gap_tol.
+
+    gap_tol defaults to default_gap_tol(m).
+    """
+    if gap_tol is None:
+        gap_tol = default_gap_tol(m)
     if not gap_tol > 0:
         raise ValueError("gap_tol must be positive")
     e = m.shifted_energies

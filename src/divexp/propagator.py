@@ -10,15 +10,18 @@ builds the tuples and their distinct node multisets and makes one
 dd_exp_batch call over the multisets.  Two evaluation routes give the same
 terms: direct tuple enumeration (cost ~ D^(l+1) tuples) and the
 block-bidiagonal matrix exponential whose top block row carries every order
-at once (cost ~ ((l+1) D)^3).  The route is fixed by the dimension D and the
-order l: tuples when l == 1 or D^(l-2) <= (l+1)^2, the block exponential
-otherwise.  The block route refuses matrices of side (l+1) D
-above MAX_BLOCK_SIDE = 2048 with BudgetExceededError.  evolve always takes the
-block route: the generator A does not depend on t, so one exponential exp(h A)
-steps the state across an evenly spaced time grid, and each time off that grid
-costs one more exponential; it raises BudgetExceededError whenever (L+1) D >
-2048, at any L.  Three independent oracles (exact eigensolve, integrated
-interaction-picture recurrence, block exponential) cross-check the assembly.
+at once (cost ~ ((l+1) D)^3).  For one term, series_order_matrix fixes the
+route by the dimension D and the order l: tuples when l == 1 or
+D^(l-2) <= (l+1)^2, the block exponential otherwise.  truncated_propagator
+needs every order at once and always takes the block route.  The block route
+refuses matrices of side (l+1) D above MAX_BLOCK_SIDE = 2048 with
+BudgetExceededError.  evolve also takes the block route: the generator A does
+not depend on t, so one exponential exp(h A) steps the state across an evenly
+spaced time grid, and each time off that grid costs one more exponential.
+evolve raises BudgetExceededError whenever (L+1) D > 2048, at any L, and
+truncated_propagator does too unless L == 0 or the coupling is zero.  Three
+independent oracles (exact eigensolve, integrated interaction-picture
+recurrence, block exponential) cross-check the assembly.
 """
 
 from __future__ import annotations
@@ -200,19 +203,20 @@ def coupling_strength(m: RedividedHamiltonian) -> float:
 def truncated_propagator(
     m: RedividedHamiltonian, L: int, t: float
 ) -> TruncatedPropagator:
-    """diag(exp(-i E' t)) plus all series terms through order L."""
+    """diag(exp(-i E' t)) plus all series terms through order L.
+
+    Orders 1..L are the top block row of one block exponential, so t must be
+    finite and (L+1) D at most MAX_BLOCK_SIDE (BudgetExceededError otherwise,
+    unless L == 0 or the coupling is zero).
+    """
     if L < 0:
         raise ValueError("order cap must be >= 0")
+    if not math.isfinite(t):
+        raise ValueError("t must be finite")
     e = m.shifted_energies
     U = np.diag(np.exp(-1j * e * t)).astype(complex)
     if L > 0 and np.any(m.offdiagonal):
-        if _route(e.size, L) == "block":
-            row = _block_top_row(e, m.offdiagonal, L, t)
-            for l in range(1, L + 1):
-                U = U + row[l]
-        else:
-            for l in range(1, L + 1):
-                U = U + _order_matrix_tuples(e, m.offdiagonal, l, t)
+        U = sum(_block_top_row(e, m.offdiagonal, L, t)[1:], U)
     return TruncatedPropagator(
         t=float(t),
         order_cap=L,
@@ -282,15 +286,15 @@ def evolve(m: RedividedHamiltonian, psi0: StateVector, times, L: int) -> Evoluti
 
 
 def _total_matrix(m) -> np.ndarray:
-    if isinstance(m, RedividedHamiltonian):
-        return m.total()
-    if isinstance(m, SplitHamiltonian):
+    if isinstance(m, (RedividedHamiltonian, SplitHamiltonian)):
         return m.total()
     return np.asarray(m, dtype=complex)
 
 
 def oracle_eigensolve(m, t: float) -> np.ndarray:
     """exp(-i H t) through the unitary eigendecomposition of the total H."""
+    if not math.isfinite(t):
+        raise ValueError("t must be finite")
     H = _total_matrix(m)
     try:
         w, V = np.linalg.eigh(H)

@@ -235,9 +235,19 @@ def test_bench_small(tmp_path):
     assert len(lines) == 1 + 2 * 2  # one row per (dim, order)
     for line in lines[1:]:
         cells = line.split(",")
-        assert cells[2] == "tuples"
+        assert cells[2] == "block"
         float(cells[3])
         float(cells[4])
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+def test_bench_rejects_a_non_finite_time(tmp_path, capsys, value):
+    out = tmp_path / "bench.csv"
+    argv = ["bench", "--dims", "3", "--orders", "2", f"--t={value}", "--out", str(out)]
+    assert run_cli(argv) == 2
+    assert not out.exists()
+    record = json.loads(capsys.readouterr().err)
+    assert record == {"error": "ValueError", "message": "t must be finite"}
 
 
 def test_error_record_on_bad_model(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -41,6 +42,52 @@ def test_pattern_counts():
 def test_pattern_labels_low_orders():
     assert [str(p) for p in enumerate_patterns(2)] == ["c", "n"]
     assert [str(p) for p in enumerate_patterns(3)] == ["cc", "cn", "nc", "nn,c", "nn,n"]
+    assert [str(p) for p in enumerate_patterns(4)] == [
+        "ccc", "ccn", "cnc", "cnn,kc", "cnn,kn", "ncc", "ncn,c", "ncn,n",
+        "nnc,ck", "nnc,nk", "nnn,cc", "nnn,cn", "nnn,nc", "nnn,nn,c", "nnn,nn,n",
+    ]
+
+
+#: sha256[:16] of repr([(groups, classes, ne_pairs), ...]) in enumeration order
+PATTERN_DIGESTS = {
+    2: "0bb793517c44fe54",
+    3: "37a05e833d3a811a",
+    4: "e41955d58d3c8d65",
+    5: "f29e2798d8e99190",
+    6: "823ca5f23d5a9ac2",
+}
+
+
+@pytest.mark.parametrize("l", sorted(PATTERN_DIGESTS))
+def test_pattern_digests(l):
+    # every stage string, class and unequal pair, in order, as first enumerated
+    text = repr([(p.groups, p.classes, p.ne_pairs) for p in enumerate_patterns(l)])
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == PATTERN_DIGESTS[l]
+
+
+@pytest.mark.parametrize("l", sorted(EXPECTED_COUNTS))
+def test_pattern_classes_are_the_partitions_with_adjacent_positions_apart(l):
+    partitions = []
+    for p in enumerate_patterns(l):
+        assert sorted(i for c in p.classes for i in c) == list(range(l + 1))
+        assert all(list(c) == sorted(c) for c in p.classes)
+        assert not any(i + 1 in c for c in p.classes for i in c)
+        # the unequal pairs join two different classes
+        class_of = {i: k for k, c in enumerate(p.classes) for i in c}
+        assert all(class_of[a] != class_of[b] for a, b in p.ne_pairs)
+        partitions.append(frozenset(map(frozenset, p.classes)))
+    assert len(set(partitions)) == len(partitions) == _bell(l)
+
+
+def _bell(n):
+    # Bell triangle: row k starts with the last entry of row k - 1
+    row = [1]
+    for _ in range(n):
+        new = [row[-1]]
+        for x in row:
+            new.append(new[-1] + x)
+        row = new
+    return row[0]
 
 
 def test_pieces_vanish_at_zero_coupling():

@@ -12,6 +12,7 @@ from divexp import (
     SplitHamiltonian,
     StateVector,
     basis_state,
+    default_gap_tol,
     dump_model,
     load_model,
     redivide,
@@ -132,6 +133,18 @@ def test_require_nondegenerate():
     near = redivide(load_model(model_bytes([0.0, 1e-9], np.zeros((2, 2)))))
     with pytest.raises(DegeneracyError):
         require_nondegenerate(near, 1e-6)
+
+    # the default gate is default_gap_tol: 1e-8 times the energy scale
+    require_nondegenerate(ok)
+    require_nondegenerate(near, 1e-10)
+    with pytest.raises(DegeneracyError) as exc:
+        require_nondegenerate(near)
+    assert exc.value.gap_tol == default_gap_tol(near) == 1e-8
+    far = redivide(load_model(model_bytes([1e3, 1e3 + 1e-6], np.zeros((2, 2)))))
+    require_nondegenerate(far, 1e-7)
+    with pytest.raises(DegeneracyError) as exc:
+        require_nondegenerate(far)
+    assert exc.value.gap_tol == default_gap_tol(far)
 
 
 def test_basis_state_index_range():

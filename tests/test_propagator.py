@@ -150,6 +150,44 @@ def test_truncated_propagator_exact_at_zero_coupling(rng):
         assert U.tail_bound == 0.0
 
 
+def test_truncated_propagator_takes_one_block_exponential(rng, monkeypatch):
+    # every order comes from the top block row of one exponential, also at
+    # shapes where a single term would take the tuple route
+    sides = []
+    expm = scipy.linalg.expm
+
+    def counting_expm(M):
+        sides.append(M.shape[0])
+        return expm(M)
+
+    monkeypatch.setattr(propagator.scipy.linalg, "expm", counting_expm)
+    m = redivide(random_offdiag_model(rng, 8, min_gap=0.05))
+    L, t = 2, 1.3 / coupling_strength(m)
+    assert _route(8, L) == "tuples"
+    U = truncated_propagator(m, L, t).matrix
+    assert sides == [(L + 1) * 8]
+    want = np.diag(np.exp(-1j * m.shifted_energies * t))
+    want = want + sum(tuples_term(m, l, t) for l in range(1, L + 1))
+    assert np.linalg.norm(U - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_truncated_propagator_size_guard(rng):
+    # (L+1) D = 2050: refused at L = 1, where a single term takes the tuple route
+    m = redivide(random_offdiag_model(rng, 1025, min_gap=0.0))
+    assert _route(1025, 1) == "tuples"
+    with pytest.raises(BudgetExceededError, match="2050"):
+        truncated_propagator(m, 1, 0.5)
+
+
+@pytest.mark.parametrize("t", [np.inf, -np.inf, np.nan])
+def test_propagators_reject_non_finite_time(small_redivided, t):
+    for L in (0, 3):
+        with pytest.raises(ValueError, match="t must be finite"):
+            truncated_propagator(small_redivided, L, t)
+    with pytest.raises(ValueError, match="t must be finite"):
+        oracle_eigensolve(small_redivided, t)
+
+
 def test_propagator_convergence_and_tail(rng):
     model = random_hermitian_model(rng, 6)
     m = redivide(model)
