@@ -182,27 +182,27 @@ def cmd_verify_identity(args) -> int:
         raise ValueError(f"--trials must be >= 1, got {args.trials}")
     if args.l_max < 1:
         raise ValueError(f"--l-max must be >= 1, got {args.l_max}")
-    if not 0.0 <= args.min_gap < 2.0:
-        # nodes are drawn in [-1, 1], so no pair is ever 2 apart
-        raise ValueError(f"--min-gap must lie in [0, 2), got {args.min_gap}")
+    if not 0.0 <= args.l_max * args.min_gap < 2.0:
+        # l_max + 1 nodes in [-1, 1], every pair at least min_gap apart
+        raise ValueError(
+            f"--l-max * --min-gap must lie in [0, 2), got {args.l_max} * {args.min_gap}"
+        )
     rng = np.random.default_rng(args.seed)
     worst_zero = 0.0
     worst_one = 0.0
-    trials = 0
-    while trials < args.trials:
+    for _ in range(args.trials):
         l = int(rng.integers(1, args.l_max + 1))
-        nodes = rng.uniform(-1.0, 1.0, size=l + 1)
-        gaps = np.abs(nodes[:, None] - nodes[None, :])
-        np.fill_diagonal(gaps, np.inf)
-        if np.min(gaps) < args.min_gap:
-            continue
-        trials += 1
+        # uniform over the node lists whose gaps are all >= min_gap: sorted
+        # uniforms on [-1, 1 - l min_gap], spread by min_gap per rank
+        spread = args.min_gap * np.arange(l + 1)
+        low = np.sort(rng.uniform(-1.0, 1.0 - l * args.min_gap, size=l + 1))
+        nodes = rng.permutation(low + spread)
         nl = NodeList(tuple(nodes))
         for K in range(l):
             worst_zero = max(worst_zero, abs(c_closed(nl, K)))
         worst_one = max(worst_one, abs(c_closed(nl, l) - 1.0))
     doc = {
-        "trials": trials,
+        "trials": args.trials,
         "l_max": args.l_max,
         "min_gap": args.min_gap,
         "seed": args.seed,

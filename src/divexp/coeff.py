@@ -201,16 +201,19 @@ def _expm_batch_bidiagonal(z: np.ndarray, offdiag: complex) -> np.ndarray:
 def dd_exp_batch(nodes: np.ndarray, t: float):
     """Vectorized divided differences of exp(-i x t) over many node lists.
 
-    nodes : (B, m) real.  Returns (values (B,), confluent flags (B,),
-    error estimates (B,)).  Rows whose minimum pairwise gap exceeds the
-    cluster tolerance go through the alternating closed sum; clustered or
-    confluent rows go through the bidiagonal matrix exponential.  With
+    nodes : (B, m) real, t finite (ValueError otherwise).  Returns (values
+    (B,), confluent flags (B,), error estimates (B,)).  Rows whose minimum
+    pairwise gap exceeds the cluster tolerance go through the alternating
+    closed sum; clustered or confluent rows go through the bidiagonal
+    matrix exponential.  With
     m > 1 nodes at t = 0 every row is the divided difference of a constant:
     exactly 0, estimate 0.
     """
     nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
     B, m = nodes.shape
     t = float(t)
+    if not math.isfinite(t):
+        raise ValueError("t must be finite")
     values = np.zeros(B, dtype=complex)
     errs = np.zeros(B)
     if m == 1:
@@ -257,10 +260,9 @@ def dd_exp(nl: NodeList, t: float) -> DividedDifferenceResult:
     """Divided difference of exp(-i x t) over the node list.
 
     Equals sum_i (-1)^(i-1) exp(-i x_i t) / d_i for distinct nodes and the
-    confluent (derivative) limit for repeated ones; total on finite input.
+    confluent (derivative) limit for repeated ones; total on finite input,
+    and a non-finite t raises ValueError as in dd_exp_batch.
     """
-    if not math.isfinite(t):
-        raise ValueError("t must be finite")
     vals, flags, errs = dd_exp_batch(np.asarray(nl.nodes)[None, :], t)
     return DividedDifferenceResult(
         value=complex(vals[0]), confluent_flag=bool(flags[0]), est_error=float(errs[0])

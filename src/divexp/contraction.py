@@ -286,36 +286,29 @@ def redivided_closed_form_order2(
 # ---------------------------------------------------------------------------
 
 
-def extract_secular_coefficients(
-    sample_fn,
-    energies,
-    max_power: int,
-    oversample: int = 4,
-    t_scale: float | None = None,
-) -> np.ndarray:
+def extract_secular_coefficients(sample_fn, energies, max_power: int) -> np.ndarray:
     """Fit matrices to sum_{j,a} c[.., j, a] t^a exp(-i E_j t) on a t stencil.
 
     sample_fn(t) must return a (D, D) matrix analytic in t.  The stencil must
     span several oscillation periods of the smallest level gap or the basis
-    functions are numerically collinear; the default window is 8 pi over that
-    gap, and the (oversampled, column-normalized) generalized Vandermonde
+    functions are numerically collinear, so its window is 8 pi over that gap,
+    and the fourfold oversampled, column-normalized generalized Vandermonde
     system is solved by least squares.  Returns the coefficient array of
     shape (D, D, D, max_power + 1) indexed (row, col, frequency, power).
     An independent check of the exact classes of secular_aggregate_coefficients.
     """
     e = np.asarray(energies, dtype=float)
     dim = e.size
-    if t_scale is None:
-        if dim > 1:
-            gaps = np.abs(e[:, None] - e[None, :]) + np.diag(np.full(dim, np.inf))
-            min_gap = float(gaps.min())
-        else:
-            min_gap = 1.0
-        if min_gap <= 0.0:
-            raise ValueError("coefficient extraction needs distinct level energies")
-        t_scale = 8.0 * math.pi / min_gap
+    if dim > 1:
+        gaps = np.abs(e[:, None] - e[None, :]) + np.diag(np.full(dim, np.inf))
+        min_gap = float(gaps.min())
+    else:
+        min_gap = 1.0
+    if min_gap <= 0.0:
+        raise ValueError("coefficient extraction needs distinct level energies")
+    t_scale = 8.0 * math.pi / min_gap
     n_basis = dim * (max_power + 1)
-    n_samples = max(oversample * n_basis, n_basis + 4)
+    n_samples = max(4 * n_basis, n_basis + 4)
     ts = t_scale * np.arange(1, n_samples + 1) / n_samples
     phases = np.exp(-1j * np.outer(ts, e))  # (N, D)
     powers = ts[:, None] ** np.arange(max_power + 1)[None, :]
@@ -354,7 +347,7 @@ def secular_aggregate_coefficients(
     nondegenerate shifted spectrum.
     """
     powers = secular_classes_for_order(l)
-    rev, states = improved._revision_series(m, 5, None)
+    rev, states = improved._revision_series(m, 5)
     low = l - 2 * min(powers)
     classes = improved._projector_series(states[: low + 1], np.eye(m.dim))
     # delta[b] and power[b]: the lam^b coefficients of Delta and of Delta^a

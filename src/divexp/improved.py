@@ -41,6 +41,9 @@ REALITY_TOL = 1e-10
 #: halvings of the golden-rule trapezoid step after the first 64 panels
 MAX_REFINE = 18
 
+#: relative change of successive Richardson values that ends the refinement
+REL_TOL = 1e-4
+
 #: highest revision order entering the exponent of each improved solution order
 SHIFT_DEPTH = {0: 5, 1: 4, 2: 3, 3: 2}
 
@@ -136,12 +139,12 @@ def _real_checked(values: np.ndarray, what: str) -> np.ndarray:
 
 
 def _revision_series(
-    m: RedividedHamiltonian, max_order: int, gap_tol: float | None
+    m: RedividedHamiltonian, max_order: int
 ) -> tuple[RevisionEnergies, list]:
     """revision_energies and the states [Psi^(0) .. Psi^(max_order)] of its run."""
     if not 2 <= max_order <= 5:
         raise ValueError("max_order must lie in 2..5")
-    require_nondegenerate(m, gap_tol)
+    require_nondegenerate(m)
     e = m.shifted_energies
     energies, states = _rs_series(e, m.offdiagonal, max_order)
     parts = {a: np.zeros(m.dim) for a in range(2, 6)}
@@ -156,16 +159,15 @@ def _revision_series(
     return rev, states
 
 
-def revision_energies(
-    m: RedividedHamiltonian, max_order: int = 5, gap_tol: float | None = None
-) -> RevisionEnergies:
+def revision_energies(m: RedividedHamiltonian, max_order: int = 5) -> RevisionEnergies:
     """Per-level revision energies G^(2..max_order) and the shifted levels.
 
     G^(a) is the order-a Rayleigh-Schroedinger energy of each level on the
     redivided split (the coupling has no diagonal, so the order-1 energy
-    vanishes).  All values are real for a Hermitian coupling.
+    vanishes).  All values are real for a Hermitian coupling.  Raises
+    DegeneracyError when two shifted levels lie within default_gap_tol(m).
     """
-    return _revision_series(m, max_order, gap_tol)[0]
+    return _revision_series(m, max_order)[0]
 
 
 def _finite_times(times) -> np.ndarray:
@@ -203,11 +205,7 @@ def improved_kernel(
 
 
 def improved_solution(
-    m: RedividedHamiltonian,
-    psi0: StateVector,
-    times,
-    order: int,
-    gap_tol: float | None = None,
+    m: RedividedHamiltonian, psi0: StateVector, times, order: int
 ) -> ImprovedSolution:
     """Order-k improved amplitudes with revision-shifted exponents.
 
@@ -227,7 +225,7 @@ def improved_solution(
     if psi0.dim != m.dim:
         raise ValueError("state dimension does not match model")
     times = _finite_times(times)
-    rev, states = _revision_series(m, 5, gap_tol)
+    rev, states = _revision_series(m, 5)
     freq = m.shifted_energies + _shift_sum(rev, SHIFT_DEPTH[order])
     N = _projector_series(states[: order + 1], psi0.amplitudes[:, None])[order][:, 0]
     out = np.exp(-1j * np.outer(times, freq)) @ N.T
@@ -235,11 +233,7 @@ def improved_solution(
 
 
 def improved_transition(
-    m: RedividedHamiltonian,
-    from_level: int,
-    to_level: int,
-    times,
-    gap_tol: float | None = None,
+    m: RedividedHamiltonian, from_level: int, to_level: int, times
 ) -> TransitionReport:
     """First-order transition probabilities with and without shifted frequency.
 
@@ -254,7 +248,7 @@ def improved_transition(
     if from_level == to_level:
         raise ValueError("transition requires distinct levels")
     times = _finite_times(times)
-    rev = revision_energies(m, max_order=4, gap_tol=gap_tol)
+    rev = revision_energies(m, max_order=4)
     e = m.shifted_energies
     shift = _shift_sum(rev, 4)
     omega = e[to_level] - e[from_level]
@@ -268,7 +262,7 @@ def improved_transition(
     )
 
 
-def _trapezoid_refine(f, lo, hi, rel_tol):
+def _trapezoid_refine(f, lo, hi):
     n = 64
     xs = np.linspace(lo, hi, n + 1)
     vals = f(xs)
@@ -281,7 +275,7 @@ def _trapezoid_refine(f, lo, hi, rel_tol):
         richardson = (4.0 * fine - coarse) / 3.0
         if prev_richardson is not None:
             scale = max(abs(richardson), 1e-300)
-            if abs(richardson - prev_richardson) <= rel_tol * scale:
+            if abs(richardson - prev_richardson) <= REL_TOL * scale:
                 return richardson
         merged = np.empty(xs.size + mids.size)
         merged[0::2] = xs
@@ -293,14 +287,7 @@ def _trapezoid_refine(f, lo, hi, rel_tol):
 
 
 def revised_golden_rule(
-    m: RedividedHamiltonian,
-    from_level: int,
-    rho,
-    T: float,
-    rel_tol: float = 1e-4,
-    sin_product: bool = False,
-    zero_shift: bool = False,
-    gap_tol: float | None = None,
+    m: RedividedHamiltonian, from_level: int, rho, T: float
 ) -> TransitionReport:
     """Usual golden-rule rate plus the frequency-shift correction integral.
 
@@ -310,20 +297,16 @@ def revised_golden_rule(
     the other levels k.  The shift of the final-state frequency is taken
     through second order, with continuum states coupling to the ladder like
     the initial level does; the correction integral runs over the tabulated
-    window via trapezoid sums with Richardson refinement to ``rel_tol``
-    (finite and positive), halving the step at most MAX_REFINE times.  With
-    ``sin_product`` the cosine difference is replaced by the small-shift
-    product approximation.  ``zero_shift`` evaluates the same integral with
-    the shift switched off (the integrand then vanishes identically).
+    window via trapezoid sums with Richardson refinement to a relative
+    change of REL_TOL, halving the step at most MAX_REFINE times.  With no
+    other level both rates are 0.
     """
     if not (math.isfinite(T) and T > 0):
         raise GoldenRuleError(f"T must be finite and positive, got {T}")
-    if not (math.isfinite(rel_tol) and rel_tol > 0):
-        raise GoldenRuleError(f"rel_tol must be finite and positive, got {rel_tol}")
     dim = m.dim
     if not 0 <= from_level < dim:
         raise IndexError("level index out of range")
-    require_nondegenerate(m, gap_tol)
+    require_nondegenerate(m)
     rho_e = np.asarray(rho[0], dtype=float).reshape(-1)
     rho_v = np.asarray(rho[1], dtype=float).reshape(-1)
     if rho_e.size != rho_v.size or rho_e.size < 4:
@@ -347,46 +330,26 @@ def revised_golden_rule(
     gb2 = np.abs(m.offdiagonal[from_level, others]) ** 2
     coupling_sq = float(gb2.mean()) if others else 0.0
     w1 = e[others] - e_beta  # ladder frequencies relative to the initial level
+    # the integrand at omega -> 0, where the shift has slope -sum gb2 / w1^2
+    c1 = 1.0 - float((gb2 / w1**2).sum())
+    limit = coupling_sq * T * (c1**2 - 1.0)
 
-    def shift(omega):
-        if zero_shift or not others:
-            return np.zeros_like(np.asarray(omega, dtype=float))
-        om = np.asarray(omega, dtype=float)[..., None]
-        return (gb2 * (1.0 / (om - w1) + 1.0 / w1)).sum(axis=-1)
-
-    slope0 = 0.0 if (zero_shift or not others) else float(-(gb2 / w1**2).sum())
-
-    def integrand(omega):
-        om = np.asarray(omega, dtype=float)
-        s = shift(om)
+    def integrand(om):
+        shift = (gb2 * (1.0 / (om[:, None] - w1) + 1.0 / w1)).sum(axis=-1)
         rho_here = np.nan_to_num(density(om + e_beta), nan=0.0)
-        out = np.empty_like(om)
-        tiny = np.abs(om) < 1e-9
-        if sin_product:
-            cosdiff = T * s * np.sin(s * T)
-        else:
-            cosdiff = np.cos(om * T) - np.cos((om + s) * T)
+        cosdiff = np.cos(om * T) - np.cos((om + shift) * T)
         with np.errstate(divide="ignore", invalid="ignore"):
             out = 2.0 * rho_here * coupling_sq * cosdiff / (T * om**2)
-        if np.any(tiny):
-            if sin_product:
-                limit = 2.0 * coupling_sq * slope0**2 * T
-            else:
-                c1 = 1.0 + slope0
-                limit = coupling_sq * T * (c1**2 - 1.0)
-            out = np.where(tiny, rho_here * limit, out)
-        return out
+        return np.where(np.abs(om) < 1e-9, rho_here * limit, out)
 
     rate_usual = 2.0 * math.pi * float(density(e_beta)) * coupling_sq
     rate_delta = float(
-        _trapezoid_refine(integrand, rho_e[0] - e_beta, rho_e[-1] - e_beta, rel_tol)
+        _trapezoid_refine(integrand, rho_e[0] - e_beta, rho_e[-1] - e_beta)
     )
     return TransitionReport(rate_usual=rate_usual, rate_delta=rate_delta)
 
 
-def improved_energy(
-    m: SplitHamiltonian, level: int, max_order: int = 5, gap_tol: float | None = None
-) -> float:
+def improved_energy(m: SplitHamiltonian, level: int, max_order: int = 5) -> float:
     """Improved perturbed energy: shifted level plus revision energies.
 
     The scheme's own first- and second-order residual corrections vanish, so
@@ -396,12 +359,12 @@ def improved_energy(
     red = redivide(m)
     if not 0 <= level < red.dim:
         raise IndexError("level index out of range")
-    rev = revision_energies(red, max_order=max_order, gap_tol=gap_tol)
+    rev = revision_energies(red, max_order=max_order)
     return float(rev.shifted[level])
 
 
 def improved_state_coefficients(
-    m: RedividedHamiltonian, level: int, order: int, gap_tol: float | None = None
+    m: RedividedHamiltonian, level: int, order: int
 ) -> np.ndarray:
     """Order-1 or order-2 perturbed-state coefficients for one level.
 
@@ -413,6 +376,6 @@ def improved_state_coefficients(
         raise ValueError("order must be 1 or 2")
     if not 0 <= level < m.dim:
         raise IndexError("level index out of range")
-    require_nondegenerate(m, gap_tol)
+    require_nondegenerate(m)
     _, states = _rs_series(m.shifted_energies, m.offdiagonal, order)
     return states[order][:, level]

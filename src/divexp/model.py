@@ -133,10 +133,13 @@ class RedividedHamiltonian:
 
 @dataclass(frozen=True)
 class StateVector:
-    """Expansion amplitudes of a pure state over the unperturbed basis."""
+    """Expansion amplitudes of a pure state over the unperturbed basis.
+
+    The amplitudes must have unit norm to within NORM_TOL; they are not
+    rescaled.
+    """
 
     amplitudes: np.ndarray
-    normalize: bool = False
 
     def __post_init__(self):
         a = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
@@ -144,13 +147,9 @@ class StateVector:
             raise ModelValidationError("amplitudes must be a finite non-empty vector")
         nrm = float(np.linalg.norm(a))
         if abs(nrm - 1.0) > NORM_TOL:
-            if not self.normalize:
-                raise ModelValidationError(
-                    f"state norm {nrm:.12g} deviates from 1 by more than {NORM_TOL:g}"
-                )
-            if nrm == 0.0:
-                raise ModelValidationError("cannot normalize the zero vector")
-            a = a / nrm
+            raise ModelValidationError(
+                f"state norm {nrm:.12g} deviates from 1 by more than {NORM_TOL:g}"
+            )
         object.__setattr__(self, "amplitudes", _readonly(a))
 
     @property
@@ -180,23 +179,14 @@ def _as_complex_matrix(obj) -> np.ndarray:
 def load_model(source) -> SplitHamiltonian:
     """Read a model file (UTF-8 JSON) into a validated SplitHamiltonian.
 
-    ``source`` may be bytes, text, or a readable (binary or text) stream.
+    ``source`` is the file's bytes; any other type raises ModelParseError.
     Expected object: {"energies": [r, ...], "h1": [[[re, im], ...], ...]}
     with an optional "labels" list. Complex entries are [re, im] pairs.
     """
-    if isinstance(source, (bytes, bytearray)):
-        raw = bytes(source)
-    elif isinstance(source, str):
-        raw = source.encode("utf-8")
-    elif hasattr(source, "read"):
-        raw = source.read()
-        if isinstance(raw, str):
-            raw = raw.encode("utf-8")
-    else:
+    if not isinstance(source, (bytes, bytearray)):
         raise ModelParseError(f"unsupported model source type {type(source)!r}")
-
     try:
-        doc = json.loads(raw.decode("utf-8"))
+        doc = json.loads(source.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ModelParseError(f"malformed model file: {exc}") from exc
 
@@ -226,7 +216,7 @@ def load_model(source) -> SplitHamiltonian:
 
 def load_model_path(path) -> SplitHamiltonian:
     with open(path, "rb") as fh:
-        return load_model(fh)
+        return load_model(fh.read())
 
 
 def dump_model(m: SplitHamiltonian) -> bytes:
@@ -247,17 +237,12 @@ def redivide(m: SplitHamiltonian) -> RedividedHamiltonian:
     return RedividedHamiltonian(base=m)
 
 
-def require_nondegenerate(
-    m: RedividedHamiltonian, gap_tol: float | None = None
-) -> None:
-    """Raise DegeneracyError unless all shifted-level gaps exceed gap_tol.
+def require_nondegenerate(m: RedividedHamiltonian) -> None:
+    """Raise DegeneracyError unless all shifted-level gaps exceed the gate.
 
-    gap_tol defaults to default_gap_tol(m).
+    The gate is default_gap_tol(m), and the error reports it as ``gap_tol``.
     """
-    if gap_tol is None:
-        gap_tol = default_gap_tol(m)
-    if not gap_tol > 0:
-        raise ValueError("gap_tol must be positive")
+    gap_tol = default_gap_tol(m)
     e = m.shifted_energies
     pairs = [
         (i, j)
@@ -270,6 +255,6 @@ def require_nondegenerate(
 
 
 def default_gap_tol(m: RedividedHamiltonian) -> float:
-    """Default degeneracy gate: 1e-8 times the energy scale of the model."""
+    """The degeneracy gate: 1e-8 times the energy scale of the model."""
     scale = max(float(np.max(np.abs(m.shifted_energies), initial=0.0)), 1.0)
     return 1e-8 * scale

@@ -172,11 +172,16 @@ def _block_top_row(energies, coupling, L, t):
 
 
 def series_order_matrix(energies, coupling, l: int, t: float) -> np.ndarray:
-    """Order-l term matrix for arbitrary split (coupling may carry a diagonal)."""
+    """Order-l term matrix for arbitrary split (coupling may carry a diagonal).
+
+    t must be finite (ValueError otherwise).
+    """
     energies = np.asarray(energies, dtype=float)
     coupling = np.asarray(coupling, dtype=complex)
     if l < 1:
         raise ValueError("order must be >= 1")
+    if not math.isfinite(t):
+        raise ValueError("t must be finite")
     if _route(energies.size, l) == "tuples":
         return _order_matrix_tuples(energies, coupling, l, float(t))
     return _block_top_row(energies, coupling, l, float(t))[l]
@@ -285,17 +290,13 @@ def evolve(m: RedividedHamiltonian, psi0: StateVector, times, L: int) -> Evoluti
 # ---------------------------------------------------------------------------
 
 
-def _total_matrix(m) -> np.ndarray:
-    if isinstance(m, (RedividedHamiltonian, SplitHamiltonian)):
-        return m.total()
-    return np.asarray(m, dtype=complex)
-
-
-def oracle_eigensolve(m, t: float) -> np.ndarray:
-    """exp(-i H t) through the unitary eigendecomposition of the total H."""
+def oracle_eigensolve(
+    m: SplitHamiltonian | RedividedHamiltonian, t: float
+) -> np.ndarray:
+    """exp(-i H t) through the unitary eigendecomposition of the model's total H."""
     if not math.isfinite(t):
         raise ValueError("t must be finite")
-    H = _total_matrix(m)
+    H = m.total()
     try:
         w, V = np.linalg.eigh(H)
     except np.linalg.LinAlgError as exc:

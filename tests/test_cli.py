@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from divexp import TwoStateExact, dump_model, improved, propagator
+from divexp import TwoStateExact, c_closed, cli, dump_model, improved, propagator
 from divexp.cli import _csv_text, main
 
 
@@ -111,6 +111,15 @@ def test_decompose(model_path, tmp_path):
     assert len(doc["pieces"]) == 2
 
 
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_decompose_rejects_a_non_finite_time(model_path, capsys, value):
+    assert run_cli(["decompose", "--model", model_path, f"--t={value}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    record = json.loads(captured.err)
+    assert record == {"error": "ValueError", "message": "t must be finite"}
+
+
 def test_verify_identity(tmp_path):
     out = tmp_path / "id.json"
     rc = run_cli(
@@ -130,6 +139,30 @@ def test_verify_identity_min_gap_above_one(tmp_path):
     assert rc == 0
     doc = json.loads(out.read_text())
     assert doc["trials"] == 5 and doc["pass"] is True
+
+
+def test_verify_identity_tests_every_order(monkeypatch, tmp_path):
+    orders = []
+
+    def recording(nl, n):
+        orders.append(nl.order)
+        return c_closed(nl, n)
+
+    monkeypatch.setattr(cli, "c_closed", recording)
+    out = tmp_path / "id.json"
+    rc = run_cli(["verify-identity", "--min-gap", "0.3", "--l-max", "6",
+                  "--trials", "200", "--seed", "3", "--out", str(out)])
+    assert rc == 0
+    assert set(orders) == set(range(1, 7))
+    assert json.loads(out.read_text())["trials"] == 200
+
+
+def test_verify_identity_rejects_gaps_that_do_not_fit(capsys):
+    # five nodes at least 0.5 apart need a window of 2, the whole of [-1, 1]
+    assert run_cli(["verify-identity", "--min-gap", "0.5", "--l-max", "4"]) == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "ValueError"
+    assert "--min-gap" in record["message"] and "--l-max" in record["message"]
 
 
 @pytest.mark.parametrize("gap", ["2", "-0.5", "nan"])

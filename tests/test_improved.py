@@ -284,14 +284,15 @@ def test_golden_rule_zero_cases():
     assert rep.rate_usual == 0.0
     assert rep.rate_delta == 0.0
 
-    m = toy_golden_model()
-    rep = revised_golden_rule(m, 0, toy_density(), T=5.0, zero_shift=True)
-    assert abs(rep.rate_delta) <= 1e-12
+    # with no other level there is no continuum coupling and no shift
+    one = redivide(SplitHamiltonian(energies=[0.0], perturbation=[[0.0]]))
+    rep = revised_golden_rule(one, 0, toy_density(), T=5.0)
+    assert rep.rate_usual == rep.rate_delta == 0.0
 
 
 def test_golden_rule_against_refined_quadrature():
     m = toy_golden_model()
-    rep = revised_golden_rule(m, 0, toy_density(), T=6.0, rel_tol=1e-6)
+    rep = revised_golden_rule(m, 0, toy_density(), T=6.0)
     # independent high-resolution evaluation of the same integrand
     from scipy.integrate import quad
     from scipy.interpolate import PchipInterpolator
@@ -346,19 +347,6 @@ def test_golden_rule_rejects_non_finite_or_non_positive_T(T):
     # checked before any refinement runs
     with pytest.raises(GoldenRuleError, match="T must be finite and positive"):
         revised_golden_rule(toy_golden_model(), 0, toy_density(), T=T)
-
-
-@pytest.mark.parametrize("rel_tol", [0.0, -1e-4, float("nan")])
-def test_golden_rule_rejects_unreachable_rel_tol(rel_tol):
-    # checked before any refinement runs
-    with pytest.raises(GoldenRuleError, match="rel_tol"):
-        revised_golden_rule(toy_golden_model(), 0, toy_density(), T=5.0, rel_tol=rel_tol)
-
-
-def test_golden_rule_sin_product_flag_runs():
-    m = toy_golden_model()
-    rep = revised_golden_rule(m, 0, toy_density(), T=6.0, sin_product=True)
-    assert np.isfinite(rep.rate_delta)
 
 
 def test_improved_energy_two_state_golden():

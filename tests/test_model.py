@@ -56,6 +56,9 @@ def test_parse_errors():
         load_model(b"[1, 2, 3]")
     with pytest.raises(ModelParseError):
         load_model(json.dumps({"energies": [0, 1]}).encode())
+    # a model is read from bytes only
+    with pytest.raises(ModelParseError):
+        load_model(model_bytes([0.0, 1.0], np.zeros((2, 2))).decode())
 
 
 @pytest.mark.parametrize("labels", [5, "ab", ["a", 2], {"a": "b"}])
@@ -123,25 +126,19 @@ def test_redivision_reconstructs_total_exactly(dim, seed):
 
 def test_require_nondegenerate():
     ok = redivide(load_model(model_bytes([0.0, 1.0], np.zeros((2, 2)))))
-    require_nondegenerate(ok, 1e-6)
+    require_nondegenerate(ok)
 
     equal = redivide(load_model(model_bytes([0.5, 0.5], np.zeros((2, 2)))))
     with pytest.raises(DegeneracyError) as exc:
-        require_nondegenerate(equal, 1e-6)
+        require_nondegenerate(equal)
     assert (0, 1) in exc.value.pairs
 
+    # the gate is default_gap_tol: 1e-8 times the energy scale
     near = redivide(load_model(model_bytes([0.0, 1e-9], np.zeros((2, 2)))))
-    with pytest.raises(DegeneracyError):
-        require_nondegenerate(near, 1e-6)
-
-    # the default gate is default_gap_tol: 1e-8 times the energy scale
-    require_nondegenerate(ok)
-    require_nondegenerate(near, 1e-10)
     with pytest.raises(DegeneracyError) as exc:
         require_nondegenerate(near)
     assert exc.value.gap_tol == default_gap_tol(near) == 1e-8
     far = redivide(load_model(model_bytes([1e3, 1e3 + 1e-6], np.zeros((2, 2)))))
-    require_nondegenerate(far, 1e-7)
     with pytest.raises(DegeneracyError) as exc:
         require_nondegenerate(far)
     assert exc.value.gap_tol == default_gap_tol(far)
@@ -158,10 +155,8 @@ def test_state_vector_normalization():
     StateVector([1.0, 0.0])
     with pytest.raises(ModelValidationError):
         StateVector([1.0, 1.0])
-    s = StateVector([1.0, 1.0], normalize=True)
-    assert np.linalg.norm(s.amplitudes) == pytest.approx(1.0, abs=1e-14)
     with pytest.raises(ModelValidationError):
-        StateVector([0.0, 0.0], normalize=True)
+        StateVector([0.0, 0.0])
 
 
 def test_immutability():

@@ -1,4 +1,5 @@
 import ast
+import inspect
 import pathlib
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "divexp"
@@ -28,3 +29,48 @@ def test_no_unused_imports():
     assert modules
     unused = {p.name: _unused_imports(p) for p in modules}
     assert not {name: found for name, found in unused.items() if found}
+
+
+# Parameter names of the public entry points of improved and model.  An
+# option added to one of them fails here until it is pinned on purpose.
+ENTRY_POINT_PARAMETERS = {
+    "improved.revision_energies": ("m", "max_order"),
+    "improved.improved_kernel": ("e", "g", "freq", "order", "t"),
+    "improved.improved_solution": ("m", "psi0", "times", "order"),
+    "improved.improved_transition": ("m", "from_level", "to_level", "times"),
+    "improved.revised_golden_rule": ("m", "from_level", "rho", "T"),
+    "improved.improved_energy": ("m", "level", "max_order"),
+    "improved.improved_state_coefficients": ("m", "level", "order"),
+    "model.SplitHamiltonian": ("energies", "perturbation", "labels"),
+    "model.RedividedHamiltonian": ("base",),
+    "model.StateVector": ("amplitudes",),
+    "model.basis_state": ("dim", "index"),
+    "model.load_model": ("source",),
+    "model.load_model_path": ("path",),
+    "model.dump_model": ("m",),
+    "model.redivide": ("m",),
+    "model.require_nondegenerate": ("m",),
+    "model.default_gap_tol": ("m",),
+}
+
+
+def test_entry_point_parameters():
+    from divexp import improved, model
+
+    modules = {"improved": improved, "model": model}
+    found = {}
+    for name in ENTRY_POINT_PARAMETERS:
+        module, attr = name.split(".")
+        params = inspect.signature(getattr(modules[module], attr)).parameters
+        found[name] = tuple(params)
+    assert found == ENTRY_POINT_PARAMETERS
+    # every public function of the two modules is pinned
+    functions = {
+        f"{module_name}.{attr}"
+        for module_name, module in modules.items()
+        for attr, obj in vars(module).items()
+        if not attr.startswith("_")
+        and inspect.isfunction(obj)
+        and obj.__module__ == module.__name__
+    }
+    assert functions <= set(ENTRY_POINT_PARAMETERS)
