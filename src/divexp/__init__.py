@@ -5,9 +5,7 @@ from .coeff import (
     DividedDifferenceResult,
     NodeList,
     SingularNodesError,
-    binomial_expansion_tail,
     c_closed,
-    c_recurrence,
     dd_exp,
     denominators,
 )
@@ -17,7 +15,6 @@ from .contraction import (
     enumerate_patterns,
     extract_secular_coefficients,
     mixed_second_order_pieces,
-    redivided_closed_form_order2,
     second_order_pieces,
     secular_aggregate_coefficients,
     secular_aggregates,
@@ -55,13 +52,10 @@ from .propagator import (
     BudgetExceededError,
     EigensolveError,
     EvolutionResult,
-    QuadratureError,
     SeriesTerm,
     TruncatedPropagator,
     derivative_coefficients,
     evolve,
-    oracle_block_order,
-    oracle_dyson_order,
     oracle_eigensolve,
     series_term,
     truncated_propagator,

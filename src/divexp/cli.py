@@ -363,7 +363,6 @@ def main(argv=None) -> int:
         OSError,
         propagator.BudgetExceededError,
         propagator.EigensolveError,
-        propagator.QuadratureError,
         improved.GoldenRuleError,
     ) as exc:
         record = {"error": type(exc).__name__, "message": str(exc)}

@@ -15,7 +15,6 @@ digits.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -26,10 +25,6 @@ _EPS = float(np.finfo(np.float64).eps)
 #: relative pairwise gap (in units of the node scale) below which a node list
 #: is treated as a confluent cluster
 CLUSTER_RTOL = 1e-6
-
-#: hard caps for the verification-only binomial expansion
-BINOMIAL_MAX_POWER = 10
-BINOMIAL_MAX_DIM = 8
 
 
 class SingularNodesError(ValueError):
@@ -129,37 +124,6 @@ def c_closed(nl: NodeList, n: int) -> float:
             d *= (xl[i] - xl[j]) if j > i else (xl[j] - xl[i])
         terms.append(((-1.0) ** i) * xl[i] ** n / d)
     return float(_neumaier_sum(terms))
-
-
-def c_recurrence(nl: NodeList, n: int) -> float:
-    """Same contract as ``c_closed``, via the geometric-sum recurrence.
-
-    C_1^n = sum_k x_1^k x_2^(n-1-k) and
-    C_l^n = sum_{k=0}^{n-l} C_{l-1}^{n-k-1} x_{l+1}^k,
-    an independent route used to cross-check the closed form.
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    x = np.asarray(nl.nodes, dtype=float)
-    _check_distinct(x)
-    l = x.size - 1
-    if l == 0:
-        return float(x[0] ** n)
-    # row[j][m] = C_j^m for the leading j+1 nodes, m = 0..n
-    prev = [
-        math.fsum(x[0] ** k * x[1] ** (m - 1 - k) for k in range(m)) for m in range(n + 1)
-    ]
-    for j in range(2, l + 1):
-        cur = []
-        for m in range(n + 1):
-            if m < j:
-                cur.append(0.0)
-            else:
-                cur.append(
-                    math.fsum(prev[m - 1 - k] * x[j] ** k for k in range(m - j + 1))
-                )
-        prev = cur
-    return prev[n]
 
 
 # ---------------------------------------------------------------------------
@@ -268,44 +232,3 @@ def dd_exp(nl: NodeList, t: float) -> DividedDifferenceResult:
         value=complex(vals[0]), confluent_flag=bool(flags[0]), est_error=float(errs[0])
     )
 
-
-# ---------------------------------------------------------------------------
-# operator-binomial expansion tail (verification oracle only)
-# ---------------------------------------------------------------------------
-
-
-def binomial_expansion_tail(A: np.ndarray, B: np.ndarray, n: int) -> np.ndarray:
-    """Tail f^n(A, B) of (A+B)^n = A^n + f^n(A, B) by direct enumeration.
-
-    Every term carries at least one B factor: for each count l the inner sum
-    runs over exponents (k_1..k_l) with sum(k) + l <= n of
-    (prod_i A^{k_i} B) A^{n - l - sum(k)}.  Exponential cost in n by design;
-    capped, since this exists purely as a verification oracle.
-    """
-    A = np.asarray(A, dtype=complex)
-    B = np.asarray(B, dtype=complex)
-    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape != B.shape:
-        raise ValueError(f"operands must be square and same shape, got {A.shape} / {B.shape}")
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n > BINOMIAL_MAX_POWER or A.shape[0] > BINOMIAL_MAX_DIM:
-        raise ValueError(
-            f"capped at n <= {BINOMIAL_MAX_POWER} and dim <= {BINOMIAL_MAX_DIM}"
-        )
-    dim = A.shape[0]
-    out = np.zeros_like(A)
-    if n == 0:
-        return out
-    apow = [np.eye(dim, dtype=complex)]
-    for _ in range(n):
-        apow.append(apow[-1] @ A)
-    for l in range(1, n + 1):
-        for ks in itertools.product(range(n - l + 1), repeat=l):
-            rest = n - l - sum(ks)
-            if rest < 0:
-                continue
-            term = np.eye(dim, dtype=complex)
-            for k in ks:
-                term = term @ apow[k] @ B
-            out += term @ apow[rest]
-    return out

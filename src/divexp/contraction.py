@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import improved
-from .model import RedividedHamiltonian, SplitHamiltonian, StateVector
+from .model import RedividedHamiltonian, SplitHamiltonian
 from .propagator import _tuple_sum
 
 # unused here; kept only because perfbench/spans.py wraps both names in this module
@@ -235,52 +235,6 @@ def mixed_second_order_pieces(m: SplitHamiltonian, t: float) -> list[TermPiece]:
     ]
 
 
-def redivided_closed_form_order2(
-    m: SplitHamiltonian, t: float, psi0: StateVector
-) -> np.ndarray:
-    """Second-order amplitudes with every level replaced by its shifted value.
-
-    Direct evaluation of the closed shifted-level form (diagonal terms via the
-    explicit confluent limits), independent of the series engine; must agree
-    with evolving the redivided model truncated at order 2.
-    """
-    e = np.asarray(m.energies, dtype=float) + np.diag(m.perturbation).real
-    g = m.perturbation.copy()
-    np.fill_diagonal(g, 0.0)
-    dim = e.size
-    if psi0.dim != dim:
-        raise ValueError("state dimension does not match model")
-    ph = np.exp(-1j * e * t)
-    K = np.diag(ph).astype(complex)
-    for a in range(dim):
-        for b in range(dim):
-            if a != b:
-                K[a, b] += (ph[a] - ph[b]) / (e[a] - e[b]) * g[a, b]
-            for c in range(dim):
-                w = g[a, c] * g[c, b]
-                if w == 0:
-                    continue
-                if a == b:
-                    # confluent bracket over (e_a, e_c, e_a)
-                    d = e[a] - e[c]
-                    K[a, b] += w * (
-                        (-ph[a] + ph[c]) / d**2 + (-1j * t) * ph[a] / d
-                    )
-                else:
-                    dab = e[a] - e[b]
-                    dac = e[a] - e[c]
-                    dcb = e[c] - e[b]
-                    if c == a:
-                        K[a, b] += w * ((-1j * t) * ph[a] / dab - (ph[a] - ph[b]) / dab**2)
-                    elif c == b:
-                        K[a, b] += w * ((-1j * t) * ph[b] / dab + (ph[a] - ph[b]) / dab**2)
-                    else:
-                        K[a, b] += w * (
-                            ph[a] / (dac * dab) - ph[c] / (dac * dcb) + ph[b] / (dab * dcb)
-                        )
-    return K @ psi0.amplitudes
-
-
 # ---------------------------------------------------------------------------
 # secular coefficient extraction and resummed aggregates
 # ---------------------------------------------------------------------------
@@ -367,7 +321,12 @@ def secular_aggregate_coefficients(
 
 
 def secular_aggregates(m: RedividedHamiltonian, t: float, l: int) -> list[TermPiece]:
-    """Resummed t^a exp classes of the order-l term as diagonal/off-diagonal pieces."""
+    """Resummed t^a exp classes of the order-l term as diagonal/off-diagonal pieces.
+
+    t must be finite (ValueError otherwise).
+    """
+    if not math.isfinite(t):
+        raise ValueError("t must be finite")
     coeffs = secular_aggregate_coefficients(m, l)
     phases = np.exp(-1j * m.shifted_energies * t)
     pieces = []

@@ -32,6 +32,7 @@ from .model import (
     RedividedHamiltonian,
     SplitHamiltonian,
     StateVector,
+    _require_distinct_levels,
     redivide,
     require_nondegenerate,
 )
@@ -192,13 +193,21 @@ def improved_kernel(
     of its largest entry; ValueError otherwise).  ``freq`` holds the
     (shifted) exponent frequencies; denominators use the unshifted ``e``.
     With freq == e this is the pure oscillatory class of the plain term.
+    A non-finite entry of ``t``, ``e``, ``g`` or ``freq`` raises ValueError,
+    and two levels of ``e`` within the gate of default_gap_tol,
+    1e-8 max(max |e|, 1), raise DegeneracyError.
     """
     if order not in SHIFT_DEPTH:
         raise ValueError("order must be 0..3")
+    if not math.isfinite(t):
+        raise ValueError("t must be finite")
+    if not all(np.all(np.isfinite(a)) for a in (e, g, freq)):
+        raise ValueError("e, g and freq must be finite")
     g = np.asarray(g, dtype=complex)
     asym = np.max(np.abs(g - g.conj().T), initial=0.0)
     if asym > HERMITICITY_RTOL * np.max(np.abs(g), initial=0.0):
         raise ValueError(f"g is not Hermitian: max |g - g^H| = {asym:.3e}")
+    _require_distinct_levels(e)
     _, states = _rs_series(e, g, order)
     classes = _projector_series(states, np.eye(e.size))[order]
     return classes @ np.exp(-1j * freq * t)

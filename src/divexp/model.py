@@ -242,8 +242,21 @@ def require_nondegenerate(m: RedividedHamiltonian) -> None:
 
     The gate is default_gap_tol(m), and the error reports it as ``gap_tol``.
     """
-    gap_tol = default_gap_tol(m)
-    e = m.shifted_energies
+    _require_distinct_levels(m.shifted_energies)
+
+
+def default_gap_tol(m: RedividedHamiltonian) -> float:
+    """The degeneracy gate: 1e-8 times the energy scale of the model."""
+    return _gap_tol(m.shifted_energies)
+
+
+def _gap_tol(e: np.ndarray) -> float:
+    return 1e-8 * max(float(np.max(np.abs(e), initial=0.0)), 1.0)
+
+
+def _require_distinct_levels(e: np.ndarray) -> None:
+    """The degeneracy gate on the levels e, for callers that hold no model."""
+    gap_tol = _gap_tol(e)
     pairs = [
         (i, j)
         for i in range(e.size)
@@ -252,9 +265,3 @@ def require_nondegenerate(m: RedividedHamiltonian) -> None:
     ]
     if pairs:
         raise DegeneracyError(pairs, gap_tol)
-
-
-def default_gap_tol(m: RedividedHamiltonian) -> float:
-    """The degeneracy gate: 1e-8 times the energy scale of the model."""
-    scale = max(float(np.max(np.abs(m.shifted_energies), initial=0.0)), 1.0)
-    return 1e-8 * scale

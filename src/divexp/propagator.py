@@ -1,4 +1,4 @@
-"""Series terms of the propagator, truncation, evolution, and oracles.
+"""Series terms of the propagator, truncation, evolution, and the eigensolve.
 
 The order-l contribution to <g| exp(-i H t) |g'> is a sum over index tuples
 (g_1 .. g_{l+1}) of the exponential divided difference over the corresponding
@@ -19,9 +19,11 @@ BudgetExceededError.  evolve also takes the block route: the generator A does
 not depend on t, so one exponential exp(h A) steps the state across an evenly
 spaced time grid, and each time off that grid costs one more exponential.
 evolve raises BudgetExceededError whenever (L+1) D > 2048, at any L, and
-truncated_propagator does too unless L == 0 or the coupling is zero.  Three
-independent oracles (exact eigensolve, integrated interaction-picture
-recurrence, block exponential) cross-check the assembly.
+truncated_propagator does too unless L == 0 or the coupling is zero.
+oracle_eigensolve, the exact propagator from a dense eigendecomposition, is
+the reference `divexp bench` measures the truncation error against; the
+other independent routes that check these terms live with the tests, in
+tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -45,10 +47,6 @@ class BudgetExceededError(RuntimeError):
 
 class EigensolveError(RuntimeError):
     """Dense eigendecomposition failed or lost unitarity."""
-
-
-class QuadratureError(RuntimeError):
-    """Integration of the order-l recurrence did not converge."""
 
 
 @dataclass(frozen=True)
@@ -231,7 +229,13 @@ def truncated_propagator(
 
 
 def auto_order(m: RedividedHamiltonian, t_max: float, tol: float) -> int:
-    """Smallest order cap whose tail bound beats tol; ValueError past MAX_AUTO_ORDER."""
+    """Smallest order cap whose tail bound beats tol; ValueError past MAX_AUTO_ORDER.
+
+    tol must be finite and positive (ValueError otherwise): no bound beats
+    a tol <= 0, and every bound beats an infinite one.
+    """
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
     x = coupling_strength(m) * abs(t_max)
     for L in range(MAX_AUTO_ORDER + 1):
         bound = _tail_bound(x, L)
@@ -286,7 +290,7 @@ def evolve(m: RedividedHamiltonian, psi0: StateVector, times, L: int) -> Evoluti
 
 
 # ---------------------------------------------------------------------------
-# oracles
+# exact reference and derivative coefficients
 # ---------------------------------------------------------------------------
 
 
@@ -306,60 +310,6 @@ def oracle_eigensolve(
     if drift > 1e-12 * max(1.0, H.shape[0]):
         raise EigensolveError(f"propagator unitarity drift {drift:.3e}")
     return U
-
-
-def oracle_dyson_order(
-    m: RedividedHamiltonian, l: int, t: float, quad_tol: float = 1e-8
-) -> np.ndarray:
-    """Order-l term by adaptive integration of the interaction-picture recurrence.
-
-    The recurrence d b^(j) / d tau = -i V_I(tau) b^(j-1) with constant coupling
-    is integrated as one stacked non-stiff system; the order-l coefficient
-    matrix is exp(-i H0' t) b^(l)(t).
-    """
-    import scipy.integrate  # test-side oracle: kept out of the import of divexp
-
-    if not 1 <= l <= 4:
-        raise ValueError("integration oracle supports 1 <= l <= 4")
-    dim = m.dim
-    e = m.shifted_energies
-    g = m.offdiagonal
-    if not np.any(g):
-        return np.zeros((dim, dim), dtype=complex)
-    n = dim * dim
-
-    def rhs(tau, y):
-        phase = np.exp(1j * e * tau)
-        v_i = (phase[:, None] * g) * phase.conj()[None, :]
-        blocks = y.view(complex).reshape(l, dim, dim)
-        out = np.empty_like(blocks)
-        prev = np.eye(dim, dtype=complex)
-        for j in range(l):
-            out[j] = -1j * (v_i @ prev)
-            prev = blocks[j]
-        return out.reshape(-1).view(float)
-
-    y0 = np.zeros(2 * l * n)
-    sol = scipy.integrate.solve_ivp(
-        rhs,
-        (0.0, float(t)),
-        y0,
-        method="DOP853",
-        rtol=max(quad_tol, 1e-12),
-        atol=max(quad_tol * 1e-2, 1e-14),
-        dense_output=False,
-    )
-    if not sol.success:
-        raise QuadratureError(f"quadrature non-convergence: {sol.message}")
-    b_l = sol.y[:, -1].view(complex).reshape(l, dim, dim)[l - 1]
-    return np.exp(-1j * e * t)[:, None] * b_l
-
-
-def oracle_block_order(m: RedividedHamiltonian, l: int, t: float) -> np.ndarray:
-    """Order-l term as the top-right block of the stacked bidiagonal exponential."""
-    if l < 1:
-        raise ValueError("order must be >= 1")
-    return _block_top_row(m.shifted_energies, m.offdiagonal, l, float(t))[l]
 
 
 def derivative_coefficients(m: RedividedHamiltonian, l: int, K: int) -> np.ndarray:

@@ -1,0 +1,204 @@
+"""Independent routes that the tests check divexp's engine against.
+
+Each function computes something divexp also computes, by another method:
+power-sum coefficients by their recurrence, the operator-binomial tail by
+enumeration, second-order amplitudes in closed form, series terms by
+integrating the interaction-picture recurrence and by one dense block
+exponential.  None calls divexp code; from divexp they take only data
+types and error classes, so a change to the engine cannot move them.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+
+import numpy as np
+import scipy.integrate
+import scipy.linalg
+
+from divexp import (
+    NodeList,
+    RedividedHamiltonian,
+    SingularNodesError,
+    SplitHamiltonian,
+    StateVector,
+)
+
+#: hard caps of binomial_expansion_tail, whose cost is exponential in n
+BINOMIAL_MAX_POWER = 10
+BINOMIAL_MAX_DIM = 8
+
+
+def c_recurrence(nl: NodeList, n: int) -> float:
+    """Power-sum coefficient C_l^n via the geometric-sum recurrence.
+
+    C_1^n = sum_k x_1^k x_2^(n-1-k) and
+    C_l^n = sum_{k=0}^{n-l} C_{l-1}^{n-k-1} x_{l+1}^k; the same contract as
+    divexp.c_closed, including SingularNodesError on coincident nodes.
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    x = np.asarray(nl.nodes, dtype=float)
+    if np.unique(x).size < x.size:
+        raise SingularNodesError(f"coincident nodes in {nl.nodes}")
+    l = x.size - 1
+    if l == 0:
+        return float(x[0] ** n)
+    # row[j][m] = C_j^m for the leading j+1 nodes, m = 0..n
+    prev = [
+        math.fsum(x[0] ** k * x[1] ** (m - 1 - k) for k in range(m)) for m in range(n + 1)
+    ]
+    for j in range(2, l + 1):
+        cur = []
+        for m in range(n + 1):
+            if m < j:
+                cur.append(0.0)
+            else:
+                cur.append(
+                    math.fsum(prev[m - 1 - k] * x[j] ** k for k in range(m - j + 1))
+                )
+        prev = cur
+    return prev[n]
+
+
+def binomial_expansion_tail(A: np.ndarray, B: np.ndarray, n: int) -> np.ndarray:
+    """Tail f^n(A, B) of (A+B)^n = A^n + f^n(A, B) by direct enumeration.
+
+    Every term carries at least one B factor: for each count l the inner sum
+    runs over exponents (k_1..k_l) with sum(k) + l <= n of
+    (prod_i A^{k_i} B) A^{n - l - sum(k)}.  Exponential cost in n, so capped
+    at BINOMIAL_MAX_POWER and BINOMIAL_MAX_DIM.
+    """
+    A = np.asarray(A, dtype=complex)
+    B = np.asarray(B, dtype=complex)
+    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape != B.shape:
+        raise ValueError(f"operands must be square and same shape, got {A.shape} / {B.shape}")
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if n > BINOMIAL_MAX_POWER or A.shape[0] > BINOMIAL_MAX_DIM:
+        raise ValueError(
+            f"capped at n <= {BINOMIAL_MAX_POWER} and dim <= {BINOMIAL_MAX_DIM}"
+        )
+    dim = A.shape[0]
+    out = np.zeros_like(A)
+    if n == 0:
+        return out
+    apow = [np.eye(dim, dtype=complex)]
+    for _ in range(n):
+        apow.append(apow[-1] @ A)
+    for l in range(1, n + 1):
+        for ks in itertools.product(range(n - l + 1), repeat=l):
+            rest = n - l - sum(ks)
+            if rest < 0:
+                continue
+            term = np.eye(dim, dtype=complex)
+            for k in ks:
+                term = term @ apow[k] @ B
+            out += term @ apow[rest]
+    return out
+
+
+def redivided_closed_form_order2(
+    m: SplitHamiltonian, t: float, psi0: StateVector
+) -> np.ndarray:
+    """Second-order amplitudes with every level replaced by its shifted value.
+
+    Direct evaluation of the closed shifted-level form (diagonal terms via the
+    explicit confluent limits); must agree with evolving the redivided model
+    truncated at order 2.
+    """
+    e = np.asarray(m.energies, dtype=float) + np.diag(m.perturbation).real
+    g = m.perturbation.copy()
+    np.fill_diagonal(g, 0.0)
+    dim = e.size
+    if psi0.dim != dim:
+        raise ValueError("state dimension does not match model")
+    ph = np.exp(-1j * e * t)
+    K = np.diag(ph).astype(complex)
+    for a in range(dim):
+        for b in range(dim):
+            if a != b:
+                K[a, b] += (ph[a] - ph[b]) / (e[a] - e[b]) * g[a, b]
+            for c in range(dim):
+                w = g[a, c] * g[c, b]
+                if w == 0:
+                    continue
+                if a == b:
+                    # confluent bracket over (e_a, e_c, e_a)
+                    d = e[a] - e[c]
+                    K[a, b] += w * (
+                        (-ph[a] + ph[c]) / d**2 + (-1j * t) * ph[a] / d
+                    )
+                else:
+                    dab = e[a] - e[b]
+                    dac = e[a] - e[c]
+                    dcb = e[c] - e[b]
+                    if c == a:
+                        K[a, b] += w * ((-1j * t) * ph[a] / dab - (ph[a] - ph[b]) / dab**2)
+                    elif c == b:
+                        K[a, b] += w * ((-1j * t) * ph[b] / dab + (ph[a] - ph[b]) / dab**2)
+                    else:
+                        K[a, b] += w * (
+                            ph[a] / (dac * dab) - ph[c] / (dac * dcb) + ph[b] / (dab * dcb)
+                        )
+    return K @ psi0.amplitudes
+
+
+def oracle_dyson_order(
+    m: RedividedHamiltonian, l: int, t: float, quad_tol: float = 1e-8
+) -> np.ndarray:
+    """Order-l term by adaptive integration of the interaction-picture recurrence.
+
+    The recurrence d b^(j) / d tau = -i V_I(tau) b^(j-1) with constant coupling
+    is integrated as one stacked non-stiff system; the order-l coefficient
+    matrix is exp(-i H0' t) b^(l)(t).  RuntimeError when the integrator fails.
+    """
+    if not 1 <= l <= 4:
+        raise ValueError("integration oracle supports 1 <= l <= 4")
+    e = m.shifted_energies
+    g = m.offdiagonal
+    dim = e.size
+    if not np.any(g):
+        return np.zeros((dim, dim), dtype=complex)
+    n = dim * dim
+
+    def rhs(tau, y):
+        phase = np.exp(1j * e * tau)
+        v_i = (phase[:, None] * g) * phase.conj()[None, :]
+        blocks = y.view(complex).reshape(l, dim, dim)
+        out = np.empty_like(blocks)
+        prev = np.eye(dim, dtype=complex)
+        for j in range(l):
+            out[j] = -1j * (v_i @ prev)
+            prev = blocks[j]
+        return out.reshape(-1).view(float)
+
+    y0 = np.zeros(2 * l * n)
+    sol = scipy.integrate.solve_ivp(
+        rhs,
+        (0.0, float(t)),
+        y0,
+        method="DOP853",
+        rtol=max(quad_tol, 1e-12),
+        atol=max(quad_tol * 1e-2, 1e-14),
+        dense_output=False,
+    )
+    if not sol.success:
+        raise RuntimeError(f"quadrature non-convergence: {sol.message}")
+    b_l = sol.y[:, -1].view(complex).reshape(l, dim, dim)[l - 1]
+    return np.exp(-1j * e * t)[:, None] * b_l
+
+
+def oracle_block_order(m: RedividedHamiltonian, l: int, t: float) -> np.ndarray:
+    """Order-l term as the top-right block of one dense block exponential.
+
+    The (l+1) x (l+1) block matrix carries diag(E') on its diagonal blocks
+    and g on the blocks above them; its exponential at -i t holds the
+    order-j term in block (0, j).
+    """
+    if l < 1:
+        raise ValueError("order must be >= 1")
+    e = m.shifted_energies
+    H = np.kron(np.eye(l + 1), np.diag(e)) + np.kron(np.eye(l + 1, k=1), m.offdiagonal)
+    return scipy.linalg.expm(-1j * t * H)[: e.size, l * e.size :]

@@ -15,7 +15,6 @@ from divexp import (
     NodeList,
     SplitHamiltonian,
     TwoStateExact,
-    binomial_expansion_tail,
     c_closed,
     derivative_coefficients,
     enumerate_patterns,
@@ -23,8 +22,6 @@ from divexp import (
     extract_secular_coefficients,
     improved_energy,
     improved_transition,
-    oracle_block_order,
-    oracle_dyson_order,
     oracle_eigensolve,
     redivide,
     revised_golden_rule,
@@ -37,6 +34,7 @@ from divexp import (
 )
 from divexp.cli import main as cli_main
 from divexp.propagator import coupling_strength, series_order_matrix
+from oracles import binomial_expansion_tail, oracle_block_order, oracle_dyson_order
 from test_propagator import richardson_derivative
 
 

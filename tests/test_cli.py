@@ -227,8 +227,11 @@ def test_time_grid_rejects_non_finite_ends(model_path, tmp_path, capsys, command
 
 
 def test_import_leaves_the_quadrature_oracle_unloaded():
-    # scipy.integrate serves only the Dyson oracle and is imported on its call
-    code = "import sys, divexp.cli; print('scipy.integrate' in sys.modules)"
+    # scipy.integrate serves only the tests' Dyson oracle, outside the package
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    for path in src.rglob("*.py"):
+        assert "scipy.integrate" not in path.read_text(), path.name
+    code = "import sys, divexp, divexp.cli; print('scipy.integrate' in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
@@ -321,6 +324,17 @@ def test_propagate_auto_order_past_cap_is_an_error(model_path, tmp_path, capsys)
         assert part in record["message"]
 
 
+@pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+def test_propagate_rejects_a_tol_no_order_can_meet(model_path, tmp_path, capsys, tol):
+    out = tmp_path / "prop.csv"
+    rc = run_cli(["propagate", "--model", model_path, f"--tol={tol}", "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "ValueError"
+    assert "tol must be finite and > 0" in record["message"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -340,7 +354,7 @@ def test_model_commands_reject_unread_options(model_path, argv):
 
 def test_no_evaluation_knobs(capsys):
     for name in ("series_order_matrix", "series_term", "truncated_propagator",
-                 "evolve", "oracle_block_order"):
+                 "evolve"):
         params = inspect.signature(getattr(propagator, name)).parameters
         assert not [p for p in params if p == "method" or p.endswith("budget")], name
     params = inspect.signature(improved.revised_golden_rule).parameters

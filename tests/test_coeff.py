@@ -9,13 +9,12 @@ from hypothesis import strategies as st
 from divexp import (
     NodeList,
     SingularNodesError,
-    binomial_expansion_tail,
     c_closed,
-    c_recurrence,
     dd_exp,
     denominators,
 )
 from divexp.coeff import _EPS, dd_exp_batch
+from oracles import binomial_expansion_tail, c_recurrence
 
 
 def brute_force_power_sum(nodes, n):

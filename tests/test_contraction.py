@@ -15,7 +15,6 @@ from divexp import (
     extract_secular_coefficients,
     mixed_second_order_pieces,
     redivide,
-    redivided_closed_form_order2,
     revision_energies,
     second_order_pieces,
     secular_aggregate_coefficients,
@@ -25,7 +24,8 @@ from divexp import (
 )
 from divexp import coeff, contraction, improved, propagator
 from divexp.contraction import pattern_piece_matrix
-from divexp.propagator import oracle_block_order, series_order_matrix
+from divexp.propagator import series_order_matrix
+from oracles import oracle_block_order, redivided_closed_form_order2
 
 EXPECTED_COUNTS = {2: 2, 3: 5, 4: 15, 5: 52, 6: 203}
 
@@ -405,6 +405,13 @@ def test_aggregate_l4_secular_square_is_diagonal_revision(rng):
     t2e = {p.label: p for p in pieces}
     assert np.all(t2e["t2e-N"].matrix == 0)
     assert np.any(t2e["t2e-D"].matrix != 0)
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+def test_aggregates_reject_a_non_finite_time(rng, t):
+    m = redivide(random_offdiag_model(rng, 4))
+    with pytest.raises(ValueError, match="t must be finite"):
+        secular_aggregates(m, t, 4)
 
 
 def test_aggregates_zero_coupling():

@@ -171,6 +171,34 @@ def test_improved_kernel_rejects_a_non_hermitian_coupling():
             improved_kernel(e, g, e, order, 0.3)
 
 
+_LEVELS = [0.0, 1.0, 2.5]
+_NEAR = [0.0, 1.0, 1.0 + 5e-9]  # one pair inside the gate 1e-8 * max(max |e|, 1)
+_G = 0.1 * (np.ones((3, 3)) - np.eye(3))
+_G_NAN = np.where(np.eye(3) == 1, np.nan, _G)
+_ENTRIES = "e, g and freq must be finite"
+
+
+@pytest.mark.parametrize(
+    "e, g, freq, t, error, match",
+    [
+        (_LEVELS, _G, _LEVELS, np.nan, ValueError, "t must be finite"),
+        (_LEVELS, _G, _LEVELS, np.inf, ValueError, "t must be finite"),
+        (_LEVELS, _G, _LEVELS, -np.inf, ValueError, "t must be finite"),
+        (_LEVELS, _G, [0.0, np.nan, 2.5], 0.3, ValueError, _ENTRIES),
+        (_LEVELS, _G, [0.0, np.inf, 2.5], 0.3, ValueError, _ENTRIES),
+        (_LEVELS, _G, [-np.inf, 1.0, 2.5], 0.3, ValueError, _ENTRIES),
+        ([0.0, np.nan, 2.5], _G, _LEVELS, 0.3, ValueError, _ENTRIES),
+        (_LEVELS, _G_NAN, _LEVELS, 0.3, ValueError, _ENTRIES),
+        (_NEAR, _G, _NEAR, 0.3, DegeneracyError, r"\(1,2\)"),
+    ],
+    ids=["t-nan", "t-inf", "t-neg-inf", "freq-nan", "freq-inf", "freq-neg-inf",
+         "e-nan", "g-nan", "degenerate-pair"],
+)
+def test_improved_kernel_rejects_input_it_cannot_evaluate(e, g, freq, t, error, match):
+    with pytest.raises(error, match=match):
+        improved_kernel(np.array(e), g, np.array(freq), 2, t)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_improved_entry_points_reject_non_finite_times(bad):
     m = redivide(two_state().to_split_hamiltonian())

@@ -13,8 +13,6 @@ from divexp import (
     derivative_coefficients,
     evolve,
     exact_transition,
-    oracle_block_order,
-    oracle_dyson_order,
     oracle_eigensolve,
     redivide,
     series_term,
@@ -29,6 +27,7 @@ from divexp.propagator import (
     coupling_strength,
     series_order_matrix,
 )
+from oracles import oracle_block_order, oracle_dyson_order
 
 
 def richardson_derivative(f, K, h0=0.05, levels=3):
@@ -431,8 +430,6 @@ def test_block_size_guard(rng, monkeypatch):
     with pytest.raises(BudgetExceededError) as exc:
         series_term(m, 3, 0.5)
     assert "2052" in str(exc.value)
-    with pytest.raises(BudgetExceededError):
-        oracle_block_order(m, 3, 0.5)
     assert sides == [2048]
 
 

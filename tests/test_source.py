@@ -1,8 +1,10 @@
 import ast
+import importlib
 import inspect
 import pathlib
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "divexp"
+TESTS = pathlib.Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "divexp"
 
 
 def _unused_imports(path):
@@ -74,3 +76,23 @@ def test_entry_point_parameters():
         and obj.__module__ == module.__name__
     }
     assert functions <= set(ENTRY_POINT_PARAMETERS)
+
+
+def test_oracles_import_only_classes_from_divexp():
+    # an oracle that called divexp code would check the engine against itself
+    tree = ast.parse((TESTS / "oracles.py").read_text())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not [a.name for a in node.names if a.name.split(".")[0] == "divexp"]
+        elif isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "divexp":
+            module = importlib.import_module(node.module)
+            imported += [(a.name, getattr(module, a.name)) for a in node.names]
+    assert imported
+    assert not [name for name, obj in imported if not inspect.isclass(obj)]
+
+
+def test_the_eigensolve_is_the_one_public_oracle():
+    import divexp
+
+    assert [n for n in divexp.__all__ if n.startswith("oracle_")] == ["oracle_eigensolve"]
