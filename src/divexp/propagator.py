@@ -232,10 +232,13 @@ def auto_order(m: RedividedHamiltonian, t_max: float, tol: float) -> int:
     """Smallest order cap whose tail bound beats tol; ValueError past MAX_AUTO_ORDER.
 
     tol must be finite and positive (ValueError otherwise): no bound beats
-    a tol <= 0, and every bound beats an infinite one.
+    a tol <= 0, and every bound beats an infinite one.  t_max must be finite
+    (ValueError otherwise).
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and > 0, got {tol}")
+    if not math.isfinite(t_max):
+        raise ValueError("t_max must be finite")
     x = coupling_strength(m) * abs(t_max)
     for L in range(MAX_AUTO_ORDER + 1):
         bound = _tail_bound(x, L)

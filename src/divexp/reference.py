@@ -24,6 +24,8 @@ class TwoStateExact:
         object.__setattr__(self, "e1", float(self.e1))
         object.__setattr__(self, "e2", float(self.e2))
         object.__setattr__(self, "v", complex(self.v))
+        if not all(np.isfinite((self.e1, self.e2, self.v))):
+            raise ValueError("e1, e2 and v must be finite")
         if not self.e2 > self.e1:
             raise ModelValidationError("requires e2 > e1")
 
@@ -58,7 +60,12 @@ class TwoStateExact:
 
 
 def exact_transition(ts: TwoStateExact, t: float) -> float:
-    """Exact probability of ending in state 2 having started in state 1."""
+    """Exact probability of ending in state 2 having started in state 1.
+
+    t must be finite (ValueError otherwise).
+    """
+    if not np.isfinite(t):
+        raise ValueError("t must be finite")
     half = ts.omega_total / 2.0
     if half == 0.0:
         return 0.0

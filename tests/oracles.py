@@ -4,7 +4,8 @@ Each function computes something divexp also computes, by another method:
 power-sum coefficients by their recurrence, the operator-binomial tail by
 enumeration, second-order amplitudes in closed form, series terms by
 integrating the interaction-picture recurrence and by one dense block
-exponential.  None calls divexp code; from divexp they take only data
+exponential, and divided differences and tuple sums in mpmath at 40-60
+digits.  None calls divexp code; from divexp they take only data
 types and error classes, so a change to the engine cannot move them.
 """
 
@@ -13,6 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 
+import mpmath
 import numpy as np
 import scipy.integrate
 import scipy.linalg
@@ -202,3 +204,53 @@ def oracle_block_order(m: RedividedHamiltonian, l: int, t: float) -> np.ndarray:
     e = m.shifted_energies
     H = np.kron(np.eye(l + 1), np.diag(e)) + np.kron(np.eye(l + 1, k=1), m.offdiagonal)
     return scipy.linalg.expm(-1j * t * H)[: e.size, l * e.size :]
+
+
+def mp_dd_exp(nodes, t: float, dps: int = 40) -> complex:
+    """Divided difference of exp(-i x t) over the nodes, to dps digits.
+
+    The top-right entry of the mpmath expm of -i t (diag(x) + superdiag(1)),
+    which holds for repeated and clustered nodes alike.
+    """
+    with mpmath.workdps(dps):
+        m = len(nodes)
+        tt = mpmath.mpf(float(t))
+        A = mpmath.zeros(m, m)
+        for i, x in enumerate(nodes):
+            A[i, i] = -1j * tt * mpmath.mpf(float(x))
+            if i + 1 < m:
+                A[i, i + 1] = -1j * tt
+        return complex(mpmath.expm(A)[0, m - 1])
+
+
+def mp_distinct_tuple_sum(energies, coupling, l: int, t: float, dps: int = 60) -> np.ndarray:
+    """Order-l tuple sum over pairwise distinct indices, to dps digits.
+
+    Entry (a, b) sums, over the tuples (a, .., b) of l + 1 pairwise distinct
+    indices, the product of the coupling elements along the tuple times the
+    divided difference of exp(-i x t) over their energies.  The nodes are
+    distinct, so the divided difference is the alternating sum
+    sum_i exp(-i x_i t) / prod_{j != i} (x_i - x_j), taken once per index set.
+    """
+    dim = len(energies)
+    with mpmath.workdps(dps):
+        tt = mpmath.mpf(float(t))
+        x = [mpmath.mpf(float(e)) for e in energies]
+        phase = [mpmath.expj(-xi * tt) for xi in x]
+        g = [[mpmath.mpc(complex(z)) for z in row] for row in coupling]
+        dd = {}
+        for subset in itertools.combinations(range(dim), l + 1):
+            dd[subset] = mpmath.fsum(
+                phase[i] / mpmath.fprod(x[i] - x[j] for j in subset if j != i)
+                for i in subset
+            )
+        out = np.zeros((dim, dim), dtype=complex)
+        for a, b in itertools.permutations(range(dim), 2):
+            total = mpmath.mpc(0)
+            rest = [k for k in range(dim) if k not in (a, b)]
+            for middle in itertools.permutations(rest, l - 1):
+                path = (a, *middle, b)
+                w = mpmath.fprod(g[i][j] for i, j in zip(path, path[1:]))
+                total += w * dd[tuple(sorted(path))]
+            out[a, b] = complex(total)
+        return out

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from divexp import (
@@ -13,8 +13,21 @@ from divexp import (
     dd_exp,
     denominators,
 )
-from divexp.coeff import _EPS, dd_exp_batch
-from oracles import binomial_expansion_tail, c_recurrence
+from divexp.coeff import _EPS, SERIES_RADIUS, dd_exp_batch
+from oracles import binomial_expansion_tail, c_recurrence, mp_dd_exp
+
+#: relative accuracy stated for rows past SERIES_RADIUS, where the alternating
+#: sum is kept only while its error bound is below ALTERNATING_RTOL = 1e-12
+FAR_RTOL = 1e-12
+
+
+def series_rtol(x, t):
+    """Relative accuracy stated for a row within SERIES_RADIUS.
+
+    A few units of eps for the m + K series terms, plus the condition of the
+    phase: the argument x t of exp(-i x t) is itself rounded.
+    """
+    return 4 * _EPS * (len(x) + abs(t) * np.max(np.abs(x)))
 
 
 def brute_force_power_sum(nodes, n):
@@ -182,12 +195,73 @@ def test_dd_exp_batch_at_time_zero(rng, m):
     if m > 1:
         vals, flags, errs = dd_exp_batch(nodes, 25.0)
         assert np.array_equal(flags, kind == 1)
-        # the alternating sum's estimate exceeds 1e-12 on the rerouted rows,
-        # which carry the matrix exponential's eps * m^2 * 2^s instead
+        # the alternating sum's estimate exceeds 1e-12 on the rerouted rows;
+        # they lie within SERIES_RADIUS at t = 25 and take the series, which
+        # holds them to the stated tolerance and to their own error bound
         diff = rerouted[:, :, None] - rerouted[:, None, :] + np.eye(m)
         assert np.all(_EPS * m * (1.0 / np.abs(diff.prod(axis=2))).sum(axis=1) > 1e-12)
-        steps = np.log2(errs[kind == 2] / (_EPS * m * m))
-        assert np.array_equal(steps, np.round(steps))
+        for x, v, e in zip(rerouted, vals[kind == 2], errs[kind == 2]):
+            want = mp_dd_exp(x, 25.0)
+            assert abs(v - want) <= min(e, series_rtol(x, 25.0) * abs(want))
+
+
+def _node_sets(rng, m):
+    """Four m-node sets on [-1, 1]: spread out, with a pair 1e-9..1e-3
+    apart, with an exact repeat, and all within 1e-9..1e-1 of one node."""
+    nodes = rng.uniform(-1.0, 1.0, size=(4, m))
+    j = int(rng.integers(1, m))
+    nodes[1, j] = nodes[1, j - 1] + 10 ** rng.uniform(-9, -3)
+    nodes[2, j] = nodes[2, j - 1]
+    nodes[3] = nodes[3, 0] + 10 ** rng.uniform(-9, -1) * rng.uniform(-1, 1, m)
+    return nodes
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=2, max_value=8))
+# past SERIES_RADIUS on three rows: at t = 34.3 the spread-out rows take the
+# alternating sum and the repeat the matrix exponential; at t = 21.0 the
+# 1e-9..1e-3 pair is rerouted to the matrix exponential as well
+@example(14, 3)
+@example(0, 7)
+def test_dd_exp_batch_matches_mpmath(seed, m):
+    rng = np.random.default_rng(seed)
+    nodes = _node_sets(rng, m)
+    # |t| from 1e-4 to 50, so rho = |t| (max x - min x) / 2 runs from below
+    # 1e-4 to about 50, past SERIES_RADIUS
+    t = float(10 ** rng.uniform(-4.0, math.log10(50.0))) * rng.choice([-1.0, 1.0])
+    vals, _, errs = dd_exp_batch(nodes, t)
+    rho = abs(t) * np.ptp(nodes, axis=1) / 2
+    for x, v, e, r in zip(nodes, vals, errs, rho):
+        want = mp_dd_exp(x, t)
+        err = abs(v - want)
+        assert err <= e
+        rtol = series_rtol(x, t) if r <= SERIES_RADIUS else FAR_RTOL
+        assert err <= rtol * abs(want), (x.tolist(), t)
+
+
+def test_series_radius_follows_from_the_cancellation_bound(rng):
+    # the relative error of the series is eps (m + K) kappa(rho); the radius
+    # is the largest multiple of 1/2 with kappa <= 32
+    def kappa(r):
+        return r * math.exp(r) / (math.sin(r) * math.cos(r / 2))
+
+    assert kappa(SERIES_RADIUS) <= 32 < kappa(SERIES_RADIUS + 0.5)
+    # the bound under kappa: |f[x]| (m-1)! / |t|^(m-1) >= sin(rho) / rho cos(rho/2),
+    # checked at the radius on node sets that include two-point masses
+    for m in range(2, 9):
+        nodes = np.concatenate(
+            [
+                rng.uniform(-1.0, 1.0, size=(50, m)),
+                np.where(rng.uniform(size=(50, m)) < 0.5, -1.0, 1.0),
+                np.sort(rng.uniform(-1.0, 1.0, size=(50, m)) ** 9, axis=1),
+            ]
+        )
+        nodes[:, :2] = [-1.0, 1.0]  # max x - min x = 2
+        t = SERIES_RADIUS
+        vals, _, _ = dd_exp_batch(nodes, t)
+        scaled = np.abs(vals) * math.factorial(m - 1) / t ** (m - 1)
+        r = SERIES_RADIUS
+        assert np.all(scaled >= math.sin(r) / r * math.cos(r / 2))
 
 
 def test_binomial_expansion_base_cases(rng):

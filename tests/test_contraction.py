@@ -25,7 +25,11 @@ from divexp import (
 from divexp import coeff, contraction, improved, propagator
 from divexp.contraction import pattern_piece_matrix
 from divexp.propagator import series_order_matrix
-from oracles import oracle_block_order, redivided_closed_form_order2
+from oracles import (
+    mp_distinct_tuple_sum,
+    oracle_block_order,
+    redivided_closed_form_order2,
+)
 
 EXPECTED_COUNTS = {2: 2, 3: 5, 4: 15, 5: 52, 6: 203}
 
@@ -169,6 +173,30 @@ def test_piece_sums_near_degenerate(rng):
                 assert np.linalg.norm(total - term) / np.linalg.norm(term) < 1e-10
             # individual pieces stay finite even with the tiny gap
             assert all(np.all(np.isfinite(p.matrix)) for p in pieces)
+
+
+def test_all_distinct_piece_matches_a_60_digit_tuple_sum():
+    # a decompose-benchmark model: D = 12 levels on [0, 3] at least 0.5 / D
+    # apart, one pair moved to 1e-9 apart, a Hermitian perturbation of
+    # largest entry 0.3 whose diagonal the levels absorb
+    rng = np.random.default_rng(702)
+    dim = 12
+    while True:
+        levels = np.sort(rng.uniform(0.0, 3.0, size=dim))
+        if np.min(np.diff(levels)) >= 0.5 / dim:
+            break
+    j = int(rng.integers(1, dim))
+    levels[j] = levels[j - 1] + 1e-9
+    h = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    h = (h + h.conj().T) / 2.0
+    h *= 0.3 / np.max(np.abs(h))
+    m = redivide(SplitHamiltonian(energies=levels - np.diag(h).real, perturbation=h))
+    e, g, t = m.shifted_energies, m.offdiagonal, 0.37
+    # nn,n: the four tuple indices are pairwise distinct
+    (pattern,) = [p for p in enumerate_patterns(3) if str(p) == "nn,n"]
+    got = pattern_piece_matrix(e, g, pattern, t)
+    want = mp_distinct_tuple_sum(e, g, 3, t)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_tuple_sums_take_one_divided_difference_call_per_row(rng, monkeypatch):

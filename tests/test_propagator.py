@@ -458,6 +458,13 @@ def test_coupling_strength_is_exact(rng):
     assert abs(coupling_strength(m) - want) <= 1e-13 * want
 
 
+@pytest.mark.parametrize("t_max", [float("nan"), float("inf"), -float("inf")])
+def test_auto_order_rejects_a_non_finite_time(t_max):
+    m = redivide(TwoStateExact(0.0, 1.0, 0.1).to_split_hamiltonian())
+    with pytest.raises(ValueError, match="^t_max must be finite$"):
+        auto_order(m, t_max, 1e-10)
+
+
 def test_auto_order_cap():
     ts = TwoStateExact(0.0, 1.0, 0.1)
     m = redivide(ts.to_split_hamiltonian())

@@ -29,6 +29,22 @@ def test_ordering_enforced():
         TwoStateExact(1.0, 0.0, 0.1)
 
 
+@pytest.mark.parametrize(
+    "e1, e2, v",
+    [(0.0, 1.0, float("nan")), (0.0, 1.0, complex(0.1, float("inf"))),
+     (float("nan"), 1.0, 0.1), (0.0, float("inf"), 0.1), (-float("inf"), 1.0, 0.1)],
+)
+def test_non_finite_two_state_input_is_rejected(e1, e2, v):
+    with pytest.raises(ValueError, match="^e1, e2 and v must be finite$"):
+        TwoStateExact(e1, e2, v)
+
+
+@pytest.mark.parametrize("t", [float("nan"), float("inf"), -float("inf")])
+def test_exact_transition_rejects_a_non_finite_time(t):
+    with pytest.raises(ValueError, match="^t must be finite$"):
+        exact_transition(TwoStateExact(0.0, 1.0, 0.1), t)
+
+
 def test_exact_transition_examples():
     ts = TwoStateExact(0.0, 1.0, 0.1)
     assert exact_transition(ts, 0.0) == 0.0
