@@ -206,13 +206,13 @@ def oracle_block_order(m: RedividedHamiltonian, l: int, t: float) -> np.ndarray:
     return scipy.linalg.expm(-1j * t * H)[: e.size, l * e.size :]
 
 
-def mp_dd_exp(nodes, t: float, dps: int = 40) -> complex:
-    """Divided difference of exp(-i x t) over the nodes, to dps digits.
+def mp_dd_exp(nodes, t: float) -> complex:
+    """Divided difference of exp(-i x t) over the nodes, to 40 digits.
 
     The top-right entry of the mpmath expm of -i t (diag(x) + superdiag(1)),
     which holds for repeated and clustered nodes alike.
     """
-    with mpmath.workdps(dps):
+    with mpmath.workdps(40):
         m = len(nodes)
         tt = mpmath.mpf(float(t))
         A = mpmath.zeros(m, m)
@@ -223,8 +223,8 @@ def mp_dd_exp(nodes, t: float, dps: int = 40) -> complex:
         return complex(mpmath.expm(A)[0, m - 1])
 
 
-def mp_distinct_tuple_sum(energies, coupling, l: int, t: float, dps: int = 60) -> np.ndarray:
-    """Order-l tuple sum over pairwise distinct indices, to dps digits.
+def mp_distinct_tuple_sum(energies, coupling, l: int, t: float) -> np.ndarray:
+    """Order-l tuple sum over pairwise distinct indices, to 60 digits.
 
     Entry (a, b) sums, over the tuples (a, .., b) of l + 1 pairwise distinct
     indices, the product of the coupling elements along the tuple times the
@@ -233,7 +233,7 @@ def mp_distinct_tuple_sum(energies, coupling, l: int, t: float, dps: int = 60) -
     sum_i exp(-i x_i t) / prod_{j != i} (x_i - x_j), taken once per index set.
     """
     dim = len(energies)
-    with mpmath.workdps(dps):
+    with mpmath.workdps(60):
         tt = mpmath.mpf(float(t))
         x = [mpmath.mpf(float(e)) for e in energies]
         phase = [mpmath.expj(-xi * tt) for xi in x]

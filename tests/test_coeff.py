@@ -247,20 +247,20 @@ def test_series_radius_follows_from_the_cancellation_bound(rng):
 
     assert kappa(SERIES_RADIUS) <= 32 < kappa(SERIES_RADIUS + 0.5)
     # the bound under kappa: |f[x]| (m-1)! / |t|^(m-1) >= sin(rho) / rho cos(rho/2),
-    # checked at the radius on node sets that include two-point masses
+    # checked at rho = SERIES_RADIUS on node sets spread out, split between
+    # the two ends, and bunched at 0
+    r = t = SERIES_RADIUS
     for m in range(2, 9):
         nodes = np.concatenate(
             [
                 rng.uniform(-1.0, 1.0, size=(50, m)),
                 np.where(rng.uniform(size=(50, m)) < 0.5, -1.0, 1.0),
-                np.sort(rng.uniform(-1.0, 1.0, size=(50, m)) ** 9, axis=1),
+                rng.uniform(-1.0, 1.0, size=(50, m)) ** 9,
             ]
         )
-        nodes[:, :2] = [-1.0, 1.0]  # max x - min x = 2
-        t = SERIES_RADIUS
+        nodes[:, :2] = [-1.0, 1.0]  # max x - min x = 2, so rho = t
         vals, _, _ = dd_exp_batch(nodes, t)
         scaled = np.abs(vals) * math.factorial(m - 1) / t ** (m - 1)
-        r = SERIES_RADIUS
         assert np.all(scaled >= math.sin(r) / r * math.cos(r / 2))
 
 
