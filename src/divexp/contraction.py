@@ -306,7 +306,7 @@ def secular_aggregate_coefficients(
     classes = improved._projector_series(states[: low + 1], np.eye(m.dim))
     # delta[b] and power[b]: the lam^b coefficients of Delta and of Delta^a
     delta = np.zeros((l + 1, m.dim))
-    delta[2:6] = np.stack([rev.g2, rev.g3, rev.g4, rev.g5])[: l - 1]
+    delta[2:6] = rev.G[: l - 1]
     power = np.zeros_like(delta)
     power[0] = 1.0
     out = {}

@@ -17,6 +17,8 @@ phases exp(-i freq t), and divexp.contraction takes the secular aggregates
 from the same classes.  The kernel is linear in the phases, so an improved
 solution on a time grid is one Rayleigh-Schroedinger run, a D x D matrix N
 of classes applied to psi0, and one phase-matrix product exp(-i t freq) @ N^T.
+The recursion runs to any order (a diverged, non-finite term raises
+ValueError); only the improved solutions stop, at SCHEME_ORDER.
 """
 
 from __future__ import annotations
@@ -45,8 +47,9 @@ MAX_REFINE = 18
 #: relative change of successive Richardson values that ends the refinement
 REL_TOL = 1e-4
 
-#: highest revision order entering the exponent of each improved solution order
-SHIFT_DEPTH = {0: 5, 1: 4, 2: 3, 3: 2}
+#: order of the improved scheme: its solutions run over orders 0..SCHEME_ORDER,
+#: and the one of order k takes G^(2..SCHEME_ORDER + 2 - k) into its exponent
+SCHEME_ORDER = 3
 
 
 class GoldenRuleError(RuntimeError):
@@ -55,10 +58,9 @@ class GoldenRuleError(RuntimeError):
 
 @dataclass(frozen=True)
 class RevisionEnergies:
-    g2: np.ndarray
-    g3: np.ndarray
-    g4: np.ndarray
-    g5: np.ndarray
+    """Row a - 2 of G, shape (max_order - 1, D), is G^(a); shifted is E' + its rows."""
+
+    G: np.ndarray
     shifted: np.ndarray
     max_order: int
 
@@ -89,7 +91,8 @@ def _rs_series(e: np.ndarray, g: np.ndarray, n: int):
     Psi^(k) = S o (g Psi^(k-1) - sum_{b=1..k} Psi^(k-b) E^(b)),
     where column j of Psi^(k) is the order-k state correction of level j
     (zero on level j itself).  Returns the lists [E^(0) .. E^(n)], E^(0) = e,
-    and [Psi^(0) .. Psi^(n)].
+    and [Psi^(0) .. Psi^(n)].  Past the nearest branch point the series
+    diverges, and an order-k term that is no longer finite raises ValueError.
     """
     diff = e[:, None] - e[None, :]
     np.fill_diagonal(diff, np.inf)
@@ -97,11 +100,14 @@ def _rs_series(e: np.ndarray, g: np.ndarray, n: int):
     energies = [e]
     states = [np.eye(e.size, dtype=complex)]
     for k in range(1, n + 1):
-        g_psi = g @ states[k - 1]
-        energies.append(np.diag(g_psi))
-        # the b = k term, Psi^(0) E^(k), is diagonal, where S vanishes
-        lower = sum(states[k - b] * energies[b] for b in range(1, k))
-        states.append(s * (g_psi - lower))
+        with np.errstate(over="ignore", invalid="ignore"):
+            g_psi = g @ states[k - 1]
+            energies.append(np.diag(g_psi))
+            # the b = k term, Psi^(0) E^(k), is diagonal, where S vanishes
+            lower = sum(states[k - b] * energies[b] for b in range(1, k))
+            states.append(s * (g_psi - lower))
+        if not (np.isfinite(energies[k]).all() and np.isfinite(states[k]).all()):
+            raise ValueError(f"the order-{k} Rayleigh-Schroedinger term is not finite")
     return energies, states
 
 
@@ -143,21 +149,13 @@ def _revision_series(
     m: RedividedHamiltonian, max_order: int
 ) -> tuple[RevisionEnergies, list]:
     """revision_energies and the states [Psi^(0) .. Psi^(max_order)] of its run."""
-    if not 2 <= max_order <= 5:
-        raise ValueError("max_order must lie in 2..5")
+    if max_order < 2:
+        raise ValueError(f"max_order must be >= 2, got {max_order}")
     require_nondegenerate(m)
     e = m.shifted_energies
     energies, states = _rs_series(e, m.offdiagonal, max_order)
-    parts = {a: np.zeros(m.dim) for a in range(2, 6)}
-    shifted = e.copy()
-    for a in range(2, max_order + 1):
-        parts[a] = _real_checked(energies[a], f"G^({a})")
-        shifted = shifted + parts[a]
-    rev = RevisionEnergies(
-        g2=parts[2], g3=parts[3], g4=parts[4], g5=parts[5],
-        shifted=shifted, max_order=max_order,
-    )
-    return rev, states
+    G = _real_checked(np.array(energies[2:]), f"G^(2..{max_order})")
+    return RevisionEnergies(G=G, shifted=sum(G, e), max_order=max_order), states
 
 
 def revision_energies(m: RedividedHamiltonian, max_order: int = 5) -> RevisionEnergies:
@@ -165,8 +163,9 @@ def revision_energies(m: RedividedHamiltonian, max_order: int = 5) -> RevisionEn
 
     G^(a) is the order-a Rayleigh-Schroedinger energy of each level on the
     redivided split (the coupling has no diagonal, so the order-1 energy
-    vanishes).  All values are real for a Hermitian coupling.  Raises
-    DegeneracyError when two shifted levels lie within default_gap_tol(m).
+    vanishes); it is row a - 2 of ``G``.  All values are real for a Hermitian
+    coupling.  Raises DegeneracyError when two shifted levels lie within
+    default_gap_tol(m), and ValueError for max_order < 2 or a diverged term.
     """
     return _revision_series(m, max_order)[0]
 
@@ -176,10 +175,6 @@ def _finite_times(times) -> np.ndarray:
     if not np.all(np.isfinite(times)):
         raise ValueError("times must be finite")
     return times
-
-
-def _shift_sum(rev: RevisionEnergies, depth: int) -> np.ndarray:
-    return sum((rev.g2, rev.g3, rev.g4, rev.g5)[: depth - 1], np.zeros_like(rev.g2))
 
 
 def improved_kernel(
@@ -193,12 +188,13 @@ def improved_kernel(
     of its largest entry; ValueError otherwise).  ``freq`` holds the
     (shifted) exponent frequencies; denominators use the unshifted ``e``.
     With freq == e this is the pure oscillatory class of the plain term.
-    A non-finite entry of ``t``, ``e``, ``g`` or ``freq`` raises ValueError,
-    and two levels of ``e`` within the gate of default_gap_tol,
-    1e-8 max(max |e|, 1), raise DegeneracyError.
+    Any order k >= 0 is accepted.  A non-finite entry of ``t``, ``e``, ``g``
+    or ``freq``, or a diverged term, raises ValueError, and two levels of
+    ``e`` within the gate of default_gap_tol, 1e-8 max(max |e|, 1), raise
+    DegeneracyError.
     """
-    if order not in SHIFT_DEPTH:
-        raise ValueError("order must be 0..3")
+    if order < 0:
+        raise ValueError(f"order must be >= 0, got {order}")
     if not math.isfinite(t):
         raise ValueError("t must be finite")
     if not all(np.all(np.isfinite(a)) for a in (e, g, freq)):
@@ -218,10 +214,10 @@ def improved_solution(
 ) -> ImprovedSolution:
     """Order-k improved amplitudes with revision-shifted exponents.
 
-    The shift depth decreases with the solution order (order 0 uses
-    G^(2..5), order 1 G^(2..4), order 2 G^(2..3), order 3 G^(2)); level
-    differences in denominators keep the unshifted (redivided) energies.
-    At t = 0 each order reduces exactly to its plain counterpart.
+    Order k in 0..SCHEME_ORDER (ValueError otherwise) takes the revision
+    energies G^(2..SCHEME_ORDER + 2 - k) into its exponent; differences in
+    denominators keep the unshifted (redivided) energies.  At t = 0 each
+    order reduces exactly to its plain counterpart.
 
     The kernel is linear in its phase vector exp(-i freq t), so the matrix N
     whose column j is the t^0 class of level j applied to psi0 serves every
@@ -229,13 +225,13 @@ def improved_solution(
     also gives the revision energies, and the amplitudes are
     exp(-i outer(times, freq)) @ N^T.
     """
-    if order not in SHIFT_DEPTH:
-        raise ValueError("order must be 0..3")
+    if not 0 <= order <= SCHEME_ORDER:
+        raise ValueError(f"order must be 0..{SCHEME_ORDER}")
     if psi0.dim != m.dim:
         raise ValueError("state dimension does not match model")
     times = _finite_times(times)
-    rev, states = _revision_series(m, 5)
-    freq = m.shifted_energies + _shift_sum(rev, SHIFT_DEPTH[order])
+    rev, states = _revision_series(m, SCHEME_ORDER + 2)
+    freq = m.shifted_energies + rev.G[: SCHEME_ORDER + 1 - order].sum(axis=0)
     N = _projector_series(states[: order + 1], psi0.amplitudes[:, None])[order][:, 0]
     out = np.exp(-1j * np.outer(times, freq)) @ N.T
     return ImprovedSolution(order=order, times=times, amplitudes=out, revisions=rev)
@@ -247,9 +243,10 @@ def improved_transition(
     """First-order transition probabilities with and without shifted frequency.
 
     p_improved replaces the oscillation frequency by the revision-shifted one
-    (depth G^(2..4)) while keeping the unshifted amplitude prefactor; delta is
-    evaluated through the cosine-difference identity and equals
-    p_improved - p_usual to machine precision.
+    (the order-1 solution's depth, G^(2..SCHEME_ORDER + 1)) while keeping
+    the unshifted amplitude prefactor; delta is evaluated through the
+    cosine-difference identity and equals p_improved - p_usual to machine
+    precision.
     """
     dim = m.dim
     if not (0 <= from_level < dim and 0 <= to_level < dim):
@@ -257,9 +254,8 @@ def improved_transition(
     if from_level == to_level:
         raise ValueError("transition requires distinct levels")
     times = _finite_times(times)
-    rev = revision_energies(m, max_order=4)
+    shift = revision_energies(m, SCHEME_ORDER + 1).G.sum(axis=0)
     e = m.shifted_energies
-    shift = _shift_sum(rev, 4)
     omega = e[to_level] - e[from_level]
     omega_t = omega + shift[to_level] - shift[from_level]
     amp = abs(m.offdiagonal[to_level, from_level]) ** 2
@@ -363,7 +359,7 @@ def improved_energy(m: SplitHamiltonian, level: int, max_order: int = 5) -> floa
 
     The scheme's own first- and second-order residual corrections vanish, so
     the sum E'_level + G^(2..max_order) already carries the high-order
-    content.
+    content.  Any max_order >= 2 is accepted, as in revision_energies.
     """
     red = redivide(m)
     if not 0 <= level < red.dim:
@@ -375,14 +371,15 @@ def improved_energy(m: SplitHamiltonian, level: int, max_order: int = 5) -> floa
 def improved_state_coefficients(
     m: RedividedHamiltonian, level: int, order: int
 ) -> np.ndarray:
-    """Order-1 or order-2 perturbed-state coefficients for one level.
+    """Order-k perturbed-state coefficients for one level, any order k >= 1.
 
     Column ``level`` of the order-k Rayleigh-Schroedinger state correction.
     The component on the reference level stays at its zeroth-order value
     (no normalization correction), so the returned vector is zero there.
+    Raises ValueError for k < 1 or a diverged term.
     """
-    if order not in (1, 2):
-        raise ValueError("order must be 1 or 2")
+    if order < 1:
+        raise ValueError(f"order must be >= 1, got {order}")
     if not 0 <= level < m.dim:
         raise IndexError("level index out of range")
     require_nondegenerate(m)

@@ -11,8 +11,8 @@ dd_exp_batch call over the multisets.  Two evaluation routes give the same
 terms: direct tuple enumeration (cost ~ D^(l+1) tuples) and the
 block-bidiagonal matrix exponential whose top block row carries every order
 at once (cost ~ ((l+1) D)^3).  For one term, series_order_matrix fixes the
-route by the dimension D and the order l: tuples when l == 1 or
-D^(l-2) <= (l+1)^2, the block exponential otherwise.  truncated_propagator
+route by the dimension D and the order l: tuples when D^(l-2) <= (l+1)^2
+(every D at l <= 2), the block exponential otherwise.  truncated_propagator
 needs every order at once and always takes the block route.  The block route
 refuses matrices of side (l+1) D above MAX_BLOCK_SIDE = 2048 with
 BudgetExceededError.  evolve also takes the block route: the generator A does
@@ -86,7 +86,7 @@ class EvolutionResult:
 
 def _route(dim: int, l: int) -> str:
     """Evaluation route of an order-l term at dimension dim."""
-    if l == 1 or dim ** (l - 2) <= (l + 1) ** 2:
+    if dim ** (l - 2) <= (l + 1) ** 2:
         return "tuples"
     return "block"
 

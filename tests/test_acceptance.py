@@ -172,7 +172,7 @@ def test_criterion_06_resummed_aggregates():
             for i in range(5):
                 for j in range(5):
                     for k in range(5):
-                        want = (-1j * rev.g2[i]) ** 2 / 2.0 if i == j == k else 0.0
+                        want = (-1j * rev.G[0, i]) ** 2 / 2.0 if i == j == k else 0.0
                         assert abs(pred[i, j, k] - want) < 1e-12
 
 

@@ -99,6 +99,36 @@ def test_transition_and_energy(model_path, tmp_path):
     assert doc["improved_energy"] == pytest.approx(-0.0099, abs=1e-14)
 
 
+def test_energy_takes_any_max_order_the_library_takes(model_path, capsys):
+    argv = ["energy", "--model", model_path, "--level", "0", "--format", "json"]
+    assert run_cli(argv + ["--max-order", "7"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["max_order"] == 7
+    # the two-state series -v^2 + v^4 - 2 v^6 + 5 v^8 ..., here at v = 0.1
+    exact = TwoStateExact(0.0, 1.0, 0.1).eigvals[0]
+    assert abs(doc["improved_energy"] - exact) < 1e-7
+
+
+@pytest.mark.parametrize(
+    "v, max_order, message",
+    [
+        (0.1, "1", "max_order must be >= 2, got 1"),
+        (100.0, "200", "Rayleigh-Schroedinger term is not finite"),
+    ],
+    ids=["below-two", "divergent"],
+)
+def test_energy_max_order_errors_give_the_error_record(tmp_path, capsys, v, max_order,
+                                                        message):
+    path = tmp_path / "model.json"
+    path.write_bytes(dump_model(TwoStateExact(0.0, 1.0, v).to_split_hamiltonian()))
+    argv = ["energy", "--model", str(path), "--level", "0", "--max-order", max_order]
+    assert run_cli(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    record = json.loads(captured.err)
+    assert record["error"] == "ValueError" and message in record["message"]
+
+
 def test_decompose(model_path, tmp_path):
     out = tmp_path / "dec.json"
     rc = run_cli(
@@ -182,6 +212,17 @@ def test_verify_identity_rejects_empty_suites(argv, option, capsys):
     assert captured.out == ""
     record = json.loads(captured.err)
     assert record["error"] == "ValueError" and option in record["message"]
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "-1", "0"])
+def test_verify_identity_rejects_a_tol_that_checks_nothing(tol, capsys):
+    # inf passes every suite and the others fail every suite
+    assert run_cli(["verify-identity", "--trials", "5", f"--tol={tol}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    record = json.loads(captured.err)
+    assert record["error"] == "ValueError"
+    assert "--tol must be finite and > 0" in record["message"]
 
 
 def test_bad_labels_give_the_error_record(tmp_path, capsys):

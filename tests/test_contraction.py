@@ -426,7 +426,7 @@ def test_aggregate_l4_secular_square_is_diagonal_revision(rng):
             for k in range(4):
                 want = 0.0
                 if i == j == k:
-                    want = (-1j * rev.g2[i]) ** 2 / 2.0
+                    want = (-1j * rev.G[0, i]) ** 2 / 2.0
                 assert abs(pred[i, j, k] - want) < 1e-14
     # and the time-domain pieces are diagonal-only for t^2 e
     pieces = secular_aggregates(m, 0.9, 4)
