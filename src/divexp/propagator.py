@@ -5,9 +5,9 @@ The order-l contribution to <g| exp(-i H t) |g'> is a sum over index tuples
 energy tuple times the product of coupling matrix elements along the tuple.
 One private kernel, _tuple_sum, evaluates every such sum: the series terms of
 the tuple route and, with some indices forced equal and others unequal, the
-contraction and mixed pieces of divexp.contraction.  Per row of the result it
-builds the tuples and their distinct node multisets and makes one
-dd_exp_batch call over the multisets.  Two evaluation routes give the same
+contraction and mixed pieces of divexp.contraction.  It walks the flat tuple
+ids in chunks of TUPLES_PER_CALL and makes one dd_exp_batch call per chunk
+over the chunk's distinct node multisets.  Two evaluation routes give the same
 terms: direct tuple enumeration (cost ~ D^(l+1) tuples) and the
 block-bidiagonal matrix exponential whose top block row carries every order
 at once (cost ~ ((l+1) D)^3).  For one term, series_order_matrix fixes the
@@ -39,6 +39,8 @@ from .model import RedividedHamiltonian, SplitHamiltonian, StateVector
 
 MAX_BLOCK_SIDE = 2048
 MAX_AUTO_ORDER = 16
+# tuple ids per dd_exp_batch call in _tuple_sum: bounds its working memory
+TUPLES_PER_CALL = 4096
 
 
 class BudgetExceededError(RuntimeError):
@@ -96,42 +98,36 @@ def _tuple_sum(energies, coupling, classes, ne_pairs, t):
 
     Tuple positions 0..l in one group of ``classes`` share one index, and the
     positions of each pair in ``ne_pairs`` must differ.  Entry (a, b) sums over
-    the tuples that start at a and end at b, at the one time ``t``.  Each row
-    a builds its tuples (at most D^(len(classes) - 1)) and their distinct node
-    multisets, folds the coupling products into S[u, b] per multiset u and
-    end b, and takes one dd_exp_batch call over the multisets; row a is then
-    one product of those values with S.
+    the tuples that start at a and end at b, at the one time ``t``.  One pass
+    walks the flat tuple ids 0 .. D^len(classes) - 1, TUPLES_PER_CALL at a
+    time; each chunk keeps its tuples with a non-zero coupling product, finds
+    their distinct node multisets and takes one dd_exp_batch call over them,
+    even when no tuple is left, so a non-finite t always raises.
     """
     dim = energies.size
     l = sum(map(len, classes)) - 1
-    classes = sorted(classes, key=lambda c: 0 not in c)  # the class of a first
     class_of = np.empty(l + 1, dtype=np.intp)
     for cid, members in enumerate(classes):
         class_of[list(members)] = cid
-    n_free = len(classes) - 1
-    free = np.indices((dim,) * n_free).reshape(n_free, dim**n_free).T
+    shape = (dim,) * len(classes)
+    n_ids = math.prod(shape)
     # a sorted tuple read as one base-D integer, while that fits in int64
     digits = dim ** np.arange(l, -1, -1) if dim ** (l + 1) < 2**63 else None
     out = np.zeros((dim, dim), dtype=complex)
-    for a in range(dim):
-        idx = np.column_stack([np.full(len(free), a), free])[:, class_of]
+    for start in range(0, n_ids, TUPLES_PER_CALL):
+        ids = np.arange(start, min(start + TUPLES_PER_CALL, n_ids))
+        idx = np.column_stack(np.unravel_index(ids, shape))[:, class_of]
         for i, j in ne_pairs:
             idx = idx[idx[:, i] != idx[:, j]]
-        weights = np.ones(len(idx), dtype=complex)
-        for j in range(l):
-            weights *= coupling[idx[:, j], idx[:, j + 1]]
+        weights = np.prod(coupling[idx[:, :-1], idx[:, 1:]], axis=1)
         nz = weights != 0
-        if not np.any(nz):
-            continue
         idx, weights = idx[nz], weights[nz]
         rows = np.sort(idx, axis=1)
         key = rows if digits is None else rows @ digits
         _, first, inv = np.unique(key, axis=0, return_index=True, return_inverse=True)
-        n_sets = first.size
-        S = np.zeros(n_sets * dim, dtype=complex)
-        np.add.at(S, inv.reshape(-1) * dim + idx[:, l], weights)
         vals, _, _ = dd_exp_batch(energies[rows[first]], t)
-        out[a] = vals @ S.reshape(n_sets, dim)
+        weights *= vals[inv.reshape(-1)]
+        np.add.at(out.reshape(-1), idx[:, 0] * dim + idx[:, l], weights)
     return out
 
 
@@ -192,10 +188,13 @@ def series_term(m: RedividedHamiltonian, l: int, t: float) -> SeriesTerm:
 
 
 def _tail_bound(x: float, L: int) -> float:
-    """(x^(L+1) / (L+1)!) * e^x, evaluated in logs to avoid overflow."""
+    """(x^(L+1) / (L+1)!) * e^x, evaluated in logs; inf past the float range."""
     if x <= 0.0:
         return 0.0
-    return math.exp((L + 1) * math.log(x) - math.lgamma(L + 2) + x)
+    try:
+        return math.exp((L + 1) * math.log(x) - math.lgamma(L + 2) + x)
+    except OverflowError:
+        return math.inf
 
 
 def coupling_strength(m: RedividedHamiltonian) -> float:

@@ -351,18 +351,20 @@ def test_module_entry_point(model_path, tmp_path):
 
 
 def test_propagate_auto_order_past_cap_is_an_error(model_path, tmp_path, capsys):
-    # |g| = 0.1, so t = 50 puts x = |g| t at 5, far past what order 16 covers
+    # |g| = 0.1, so t = 50 puts x = |g| t at 5, far past what order 16
+    # covers; at t = 10^4 the tail bound itself passes the float range
     out = tmp_path / "prop.csv"
-    rc = run_cli(["propagate", "--model", model_path, "--t-stop", "50",
-                  "--out", str(out)])
-    assert rc == 2
-    assert not out.exists()
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1
-    record = json.loads(err)
-    assert record["error"] == "ValueError"
-    for part in ("x=|g|*t=5", "up to 16", "order 16 is"):
-        assert part in record["message"]
+    for t_stop, x, bound in (("50", "5", ""), ("10000", "1000", "inf")):
+        rc = run_cli(["propagate", "--model", model_path, "--t-stop", t_stop,
+                      "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        record = json.loads(err)
+        assert record["error"] == "ValueError"
+        for part in (f"x=|g|*t={x}", "up to 16", f"order 16 is {bound}"):
+            assert part in record["message"]
 
 
 @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])

@@ -199,7 +199,7 @@ def test_all_distinct_piece_matches_a_60_digit_tuple_sum():
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
-def test_tuple_sums_take_one_divided_difference_call_per_row(rng, monkeypatch):
+def test_tuple_sums_take_one_divided_difference_call_per_chunk(rng, monkeypatch):
     calls = []
     real = propagator.dd_exp_batch
 
@@ -208,23 +208,49 @@ def test_tuple_sums_take_one_divided_difference_call_per_row(rng, monkeypatch):
         return real(nodes, t)
 
     monkeypatch.setattr(propagator, "dd_exp_batch", counting)
+    # every piece and term here has at most 6^4 <= TUPLES_PER_CALL tuple ids
     dim = 6
     m = redivide(random_offdiag_model(rng, dim, min_gap=0.1))
     e, g = m.shifted_energies, m.offdiagonal
     for pattern in enumerate_patterns(3):
         calls.clear()
         pattern_piece_matrix(e, g, pattern, 0.8)
-        assert 0 < len(calls) <= dim, str(pattern)
+        assert len(calls) == 1, str(pattern)
     for l in (1, 2, 3):
         assert propagator._route(dim, l) == "tuples"
         calls.clear()
         series_order_matrix(e, g, l, 0.8)
-        assert 0 < len(calls) <= dim, l
-        # one node list per distinct node multiset: a row holds (D - 1)^l
-        # tuples with a non-zero coupling product, and from order 2 on
-        # several of them share a multiset
-        if l > 1:
-            assert max(calls) < (dim - 1) ** l
+        # one node list per distinct node multiset: the term holds
+        # D (D - 1)^l tuples with a non-zero coupling product, and tuples
+        # that visit the same levels in another order share a multiset
+        assert len(calls) == 1 and calls[0] < dim * (dim - 1) ** l, l
+    # past TUPLES_PER_CALL ids the pass takes ceil(D^(l+1) / TUPLES_PER_CALL)
+    # calls: 20^4 ids of the order-3 term at D = 20 make 40 chunks
+    dim, l, t = 20, 3, 0.8
+    m = redivide(random_offdiag_model(rng, dim, min_gap=0.0))
+    calls.clear()
+    got = propagator._order_matrix_tuples(m.shifted_energies, m.offdiagonal, l, t)
+    assert len(calls) == math.ceil(dim ** (l + 1) / propagator.TUPLES_PER_CALL) == 40
+    want = oracle_block_order(m, l, t)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+def test_pieces_reject_a_non_finite_time_at_zero_coupling(t):
+    # no tuple has a non-zero coupling product, and t is checked all the same
+    split = SplitHamiltonian(energies=[0.0, 1.0, 2.5], perturbation=np.zeros((3, 3)))
+    m = redivide(split)
+    evaluations = [
+        lambda: second_order_pieces(m, t),
+        lambda: third_order_pieces(m, t),
+        lambda: mixed_second_order_pieces(split, t),
+    ] + [
+        lambda p=p: pattern_piece_matrix(m.shifted_energies, m.offdiagonal, p, t)
+        for p in enumerate_patterns(4)
+    ]
+    for evaluate in evaluations:
+        with pytest.raises(ValueError, match="^t must be finite$"):
+            evaluate()
 
 
 def test_third_order_regrouping_by_class(rng):

@@ -479,3 +479,8 @@ def test_auto_order_cap():
     assert auto_order(m, 0.999 * lo / g, tol) == MAX_AUTO_ORDER
     with pytest.raises(ValueError, match=f"up to {MAX_AUTO_ORDER}"):
         auto_order(m, 1.001 * lo / g, tol)
+    # at x = 1000 the bound's logarithm passes the float range: the bound is
+    # inf, which still holds, and auto_order reports it at the cap
+    assert truncated_propagator(m, 3, 1000.0 / g).tail_bound == np.inf
+    with pytest.raises(ValueError, match=f"order {MAX_AUTO_ORDER} is inf$"):
+        auto_order(m, 1000.0 / g, tol)

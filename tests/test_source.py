@@ -33,8 +33,9 @@ def test_no_unused_imports():
     assert not {name: found for name, found in unused.items() if found}
 
 
-# Parameter names of the public entry points of improved and model.  An
-# option added to one of them fails here until it is pinned on purpose.
+# Parameter names of the public entry points of improved, model, propagator,
+# contraction and coeff.  An option added to one of them fails here until it
+# is pinned on purpose.
 ENTRY_POINT_PARAMETERS = {
     "improved.revision_energies": ("m", "max_order"),
     "improved.improved_kernel": ("e", "g", "freq", "order", "t"),
@@ -53,20 +54,42 @@ ENTRY_POINT_PARAMETERS = {
     "model.redivide": ("m",),
     "model.require_nondegenerate": ("m",),
     "model.default_gap_tol": ("m",),
+    "propagator.series_order_matrix": ("energies", "coupling", "l", "t"),
+    "propagator.series_term": ("m", "l", "t"),
+    "propagator.coupling_strength": ("m",),
+    "propagator.truncated_propagator": ("m", "L", "t"),
+    "propagator.auto_order": ("m", "t_max", "tol"),
+    "propagator.evolve": ("m", "psi0", "times", "L"),
+    "propagator.oracle_eigensolve": ("m", "t"),
+    "propagator.derivative_coefficients": ("m", "l", "K"),
+    "contraction.enumerate_patterns": ("l",),
+    "contraction.pattern_piece_matrix": ("energies", "coupling", "pattern", "t"),
+    "contraction.second_order_pieces": ("m", "t"),
+    "contraction.third_order_pieces": ("m", "t"),
+    "contraction.mixed_second_order_pieces": ("m", "t"),
+    "contraction.extract_secular_coefficients": ("sample_fn", "energies", "max_power"),
+    "contraction.secular_classes_for_order": ("l",),
+    "contraction.secular_aggregate_coefficients": ("m", "l"),
+    "contraction.secular_aggregates": ("m", "t", "l"),
+    "coeff.denominators": ("nl",),
+    "coeff.c_closed": ("nl", "n"),
+    "coeff.dd_exp_batch": ("nodes", "t"),
+    "coeff.dd_exp": ("nl", "t"),
 }
 
 
 def test_entry_point_parameters():
-    from divexp import improved, model
-
-    modules = {"improved": improved, "model": model}
+    modules = {
+        module: importlib.import_module(f"divexp.{module}")
+        for module in {name.split(".")[0] for name in ENTRY_POINT_PARAMETERS}
+    }
     found = {}
     for name in ENTRY_POINT_PARAMETERS:
         module, attr = name.split(".")
         params = inspect.signature(getattr(modules[module], attr)).parameters
         found[name] = tuple(params)
     assert found == ENTRY_POINT_PARAMETERS
-    # every public function of the two modules is pinned
+    # every public function of these modules is pinned
     functions = {
         f"{module_name}.{attr}"
         for module_name, module in modules.items()
