@@ -8,16 +8,17 @@ so the alternating sum  sum_i (-1)^(i-1) f(x_i) / d_i  is exactly the divided
 difference f[x_1, ..., x_m].  For f(x) = x^K it vanishes for K < l and equals
 one at K = l; for f(x) = exp(-i x t) it is the closed time factor of the
 order-l propagator term.  ``dd_exp_batch`` evaluates the latter for arbitrary
-(possibly repeated or clustered) nodes on one of three routes, chosen per row
-by its radius rho = |t| (max x - min x) / 2:
+(possibly repeated or clustered) nodes with two kernels, chosen per row by its
+radius rho = |t| (max x - min x) / 2:
 
-* rho <= SERIES_RADIUS = 2: the series in the complete homogeneous symmetric
-  polynomials of the nodes centred at their midpoint (McCurdy, Ng & Parlett,
-  Math. Comp. 1984; Zivcovich, Dolomites Res. Notes Approx. 2019), accurate
-  relative to the value whatever the gaps between the nodes;
-* larger rho, nodes not clustered: the alternating sum, kept where its error
-  bound is at most ALTERNATING_RTOL = 1e-12 times the value;
-* every other row: the exponential of the associated upper-bidiagonal matrix.
+* the series in the complete homogeneous symmetric polynomials of the nodes
+  centred at their midpoint (McCurdy, Ng & Parlett, Math. Comp. 1984;
+  Zivcovich, Dolomites Res. Notes Approx. 2019), accurate relative to the
+  value whatever the gaps between the nodes up to rho = SERIES_RADIUS = 2.
+  Past the radius it runs at time t / 2^s, s = ceil(log2(rho / 2)), over
+  every sub-list, and that table of divided differences is squared s times;
+* past the radius, on nodes not clustered: the alternating sum, kept where its
+  error bound is at most ALTERNATING_RTOL = 1e-12 times the value.
 
 Each value comes with an absolute error bound in the value's units.
 """
@@ -53,7 +54,7 @@ CLUSTER_RTOL = 1e-6
 SERIES_RADIUS = 2.0
 
 #: bound on the alternating sum's error relative to its value, above which a
-#: row with rho > SERIES_RADIUS takes the bidiagonal matrix exponential
+#: row with rho > SERIES_RADIUS takes the squared series
 ALTERNATING_RTOL = 1e-12
 
 
@@ -161,61 +162,30 @@ def c_closed(nl: NodeList, n: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _expm_batch_bidiagonal(z: np.ndarray, offdiag: complex):
-    """Top-right entries of expm(diag(z) + offdiag * superdiag(1)) for a batch.
+def _series(nodes: np.ndarray, t):
+    """Divided differences of exp(-i x t), with bounds, per row of nodes (B, m)
+    within SERIES_RADIUS at t (one time, or one per row).
 
-    z : (B, m) complex with mean already removed per row.  Scaling-squaring
-    with a fixed-degree Taylor step; matrices are tiny (m <= ~9) and upper
-    triangular, so plain batched matmuls are accurate and fast.  Returns the
-    entries and their error bound eps m 2^s sum_j |E_0j| |E_j,m-1|, with
-    E = expm(...): the rounding error of one squaring of E, counted once per
-    squaring step s.  The bound is not proven; the tests check it against
-    mpmath.
-    """
-    B, m = z.shape
-    M = np.zeros((B, m, m), dtype=complex)
-    idx = np.arange(m)
-    M[:, idx, idx] = z
-    if m > 1:
-        M[:, idx[:-1], idx[1:]] = offdiag
-    # row-sum norm per matrix; scale so the Taylor argument stays <= 1/2
-    norm = np.abs(M).sum(axis=2).max(axis=1)
-    s = np.ceil(np.log2(np.maximum(norm, 1e-300) / 0.5))
-    s = np.clip(s, 0, 60).astype(int)
-    T = M / (2.0 ** s)[:, None, None]
-    eye = np.broadcast_to(np.eye(m, dtype=complex), (B, m, m))
-    # Horner evaluation of the degree-18 Taylor polynomial
-    acc = eye / math.factorial(18)
-    for k in range(17, -1, -1):
-        acc = np.matmul(T, acc) + eye / math.factorial(k)
-    remaining = s.copy()
-    while np.any(remaining > 0):
-        active = remaining > 0
-        acc[active] = np.matmul(acc[active], acc[active])
-        remaining[active] -= 1
-    cross = (np.abs(acc[:, 0, :]) * np.abs(acc[:, :, m - 1])).sum(axis=1)
-    return acc[:, 0, m - 1], _EPS * m * 2.0**s * cross
-
-
-def _centred_series(u: np.ndarray):
-    """Sum_k (-i)^k h_k(u) (m-1)! / (m-1+k)! per column of u, |u| <= SERIES_RADIUS.
-
-    u is (m, B): one column per row of the batch.  h_k is the complete
-    homogeneous symmetric polynomial of degree k; its prefix values
+    With mu the midpoint and u = t (x - mu), f[x] = e^{-i mu t} (-i t)^{m-1}
+    / (m-1)! S, S = sum_k (-i)^k h_k(u) (m-1)! / (m-1+k)!.  h_k is the
+    complete homogeneous symmetric polynomial of degree k; its prefix values
     h_k(u_0..u_j) are the running sum over j of u_j h_{k-1}(u_0..u_j), so
     each term is one product and m - 1 additions over the whole batch.  The
     sum stops at the first K with r^K / K! < eps, r the largest |u|, since
-    the k-th term is at most r^k / k!; returns the sums, K and a bound on
-    the terms left out.
+    the k-th term is at most r^k / k!; tail bounds the terms left out.
     """
-    m, B = u.shape
+    m = nodes.shape[1]
+    xt = np.ascontiguousarray(nodes.T)  # one column per row: fast reductions
+    lo, hi = xt.min(axis=0), xt.max(axis=0)
+    mu = (lo + hi) / 2.0
+    u = t * (xt - mu)
     r = float(np.abs(u).max())
     bounds = [1.0]  # r^k / k!
     while bounds[-1] >= _EPS:
         bounds.append(bounds[-1] * r / len(bounds))
     K = len(bounds) - 1
-    h = np.ones((m, B))
-    last = np.empty((K + 1, B))  # h_k(u), k = 0..K
+    h = np.ones(u.shape)
+    last = np.empty((K + 1, u.shape[1]))  # h_k(u), k = 0..K
     last[0] = 1.0
     for k in range(1, K + 1):
         np.multiply(u, h, out=h)
@@ -227,28 +197,68 @@ def _centred_series(u: np.ndarray):
     ratio = np.cumprod(np.r_[1.0, 1.0 / (m - 1 + k[1:])])
     coef = ratio * np.array([1, -1j, -1, 1j])[k % 4]
     tail = bounds[-1] / (1.0 - r / (K + 1))
-    return coef @ last, K, tail
+    pref = (-1j * t) ** (m - 1) / math.factorial(m - 1)
+    rho = np.abs(t) * (hi - lo) / 2.0
+    err = np.abs(pref) * (_EPS * ((m + K) * np.exp(rho) + np.abs(mu * t)) + tail)
+    return np.exp(-1j * mu * t) * pref * (coef @ last), err
+
+
+def _squared_series(srt: np.ndarray, t: float, rho: np.ndarray):
+    """Divided differences of exp(-i x t) per row of sorted nodes (B, m) of
+    radius rho > SERIES_RADIUS, with bounds, by squaring a scaled table.
+
+    With J = diag(x) + superdiag(1), entry (i, j >= i) of g(J) is the divided
+    difference g[x_i .. x_j] (Opitz), and exp(-i t J) is the 2^s-th power,
+    s = ceil(log2(rho / SERIES_RADIUS)), of exp(-i t J / 2^s), whose entries
+    _series gives with bounds E.  Squaring the computed F + D, |D| <= E,
+    gives F^2 + D (F + D) + (F + D) D - D D plus the rounding of complex
+    inner products of length m, at most gamma |F + D| |F + D| with
+    gamma = (m + 2) u / (1 - (m + 2) u), u = eps / 2 (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., section 3.6).  With
+    A = |F + D| the new bound is therefore (gamma A + E) A + (A + E) E:
+    nonnegative terms, rounded by a few eps.
+    """
+    B, m = srt.shape
+    steps = np.ceil(np.log2(rho / SERIES_RADIUS)).astype(int)
+    mid = (srt[:, 0] + srt[:, -1]) / 2.0
+    # sorted evens, then sorted odds: every sub-list of two or more nodes
+    # spans much of the range, where exp(-i x t) has small divided
+    # differences, so the squarings' sums of products cancel little
+    x = srt[:, np.r_[0:m:2, 1:m:2]] - mid[:, None]
+    F = np.zeros((B, m, m), dtype=complex)
+    E = np.zeros((B, m, m))
+    for k in range(1, m + 1):  # the sub-lists of k nodes
+        i = np.arange(m - k + 1)
+        sub = np.lib.stride_tricks.sliding_window_view(x, k, axis=1).reshape(-1, k)
+        vals, errs = _series(sub, np.repeat(t / 2.0**steps, i.size))
+        F[:, i, i + k - 1], E[:, i, i + k - 1] = vals.reshape(B, -1), errs.reshape(B, -1)
+    gamma = (m + 2) * _EPS / (2.0 - (m + 2) * _EPS)
+    for step in range(steps.max()):
+        on = steps > step
+        Fa, Ea = F[on], E[on]
+        A = np.abs(Fa)
+        E[on] = (gamma * A + Ea) @ A + (A + Ea) @ Ea
+        F[on] = Fa @ Fa
+    top = F[:, 0, -1]
+    return np.exp(-1j * mid * t) * top, E[:, 0, -1] + _EPS * np.abs(mid * t * top)
 
 
 def dd_exp_batch(nodes: np.ndarray, t: float):
     """Vectorized divided differences of exp(-i x t) over many node lists.
 
-    nodes : (B, m) real, t finite (ValueError otherwise).  Returns (values
-    (B,), confluent flags (B,), error bounds (B,)).  A row is flagged
+    nodes : (B, m) real, t real, both finite (ValueError otherwise).  Returns
+    (values (B,), confluent flags (B,), error bounds (B,)).  A row is flagged
     confluent when its minimum pairwise gap is at most CLUSTER_RTOL times
-    max(1, max |x|).  Each row takes one of three routes, by its radius
-    rho = |t| (max x - min x) / 2:
+    max(1, max |x|).  By the row's radius rho = |t| (max x - min x) / 2:
 
-    * rho <= SERIES_RADIUS: the series in the complete homogeneous symmetric
-      polynomials of the nodes centred at their midpoint mu,
-      f[x] = e^{-i mu t} sum_k (-i t)^{m-1+k} / (m-1+k)! h_k(x - mu).  It
-      needs no gap between nodes and is accurate relative to the value (see
-      SERIES_RADIUS).
-    * rho > SERIES_RADIUS, not confluent: the alternating closed sum
-      sum_i exp(-i x_i t) / prod_{j != i} (x_i - x_j), kept where its
-      error bound is at most ALTERNATING_RTOL times the value.
-    * every other row: the exponential of the bidiagonal matrix
-      diag(-i t (x - mean)) - i t superdiag(1).
+    * rho <= SERIES_RADIUS: the centred series
+      f[x] = e^{-i mu t} sum_k (-i t)^{m-1+k} / (m-1+k)! h_k(x - mu), mu the
+      midpoint, accurate relative to the value whatever the gaps;
+    * larger rho, not confluent: the alternating sum
+      sum_i exp(-i x_i t) / prod_{j != i} (x_i - x_j), kept where its error
+      bound is at most ALTERNATING_RTOL times the value;
+    * every other row: the centred series at t / 2^s over every sub-list,
+      s = ceil(log2(rho / SERIES_RADIUS)), and s squarings of that table.
 
     The error bound is absolute, in the value's units, and includes the
     phase error eps |x t| of the exponentials.  With m > 1 nodes at t = 0
@@ -259,6 +269,8 @@ def dd_exp_batch(nodes: np.ndarray, t: float):
     t = float(t)
     if not math.isfinite(t):
         raise ValueError("t must be finite")
+    if not np.all(np.isfinite(nodes)):
+        raise ValueError("nodes must be finite")
     values = np.zeros(B, dtype=complex)
     errs = np.zeros(B)
     if m == 1:
@@ -277,34 +289,20 @@ def dd_exp_batch(nodes: np.ndarray, t: float):
     rho = abs(t) * (hi - lo) / 2.0
     near = rho <= SERIES_RADIUS
     if np.any(near):
-        mu = (lo[near] + hi[near]) / 2.0
-        s, K, tail = _centred_series(t * (nodes[near].T - mu))
-        pref = (-1j * t) ** (m - 1) / math.factorial(m - 1)
-        values[near] = np.exp(-1j * mu * t) * pref * s
-        errs[near] = abs(pref) * (
-            _EPS * ((m + K) * np.exp(rho[near]) + np.abs(mu * t)) + tail
-        )
-    matrix = ~near & clustered
+        values[near], errs[near] = _series(nodes[near], t)
+    squared = ~near & clustered
     plain = ~near & ~clustered
     if np.any(plain):
         sub = nodes[plain]
         d = sub[:, :, None] - sub[:, None, :]
-        ii = np.arange(m)
-        d[:, ii, ii] = 1.0
+        d[:, range(m), range(m)] = 1.0
         denom = d.prod(axis=2)  # signed product over j != i of (x_i - x_j)
         vals_plain = (np.exp(-1j * sub * t) / denom).sum(axis=1)
         est = _EPS * ((m + np.abs(sub * t)) / np.abs(denom)).sum(axis=1)
-        idx_plain = np.flatnonzero(plain)
-        values[idx_plain] = vals_plain
-        errs[idx_plain] = est
-        matrix[idx_plain[est > ALTERNATING_RTOL * np.abs(vals_plain)]] = True
-    if np.any(matrix):
-        sub = nodes[matrix]
-        mu = sub.mean(axis=1)
-        z = -1j * t * (sub - mu[:, None])
-        top, err = _expm_batch_bidiagonal(z, -1j * t)
-        values[matrix] = np.exp(-1j * mu * t) * top
-        errs[matrix] = err + _EPS * np.abs(mu * t * top)
+        values[plain], errs[plain] = vals_plain, est
+        squared[plain] = est > ALTERNATING_RTOL * np.abs(vals_plain)
+    if np.any(squared):
+        values[squared], errs[squared] = _squared_series(srt[squared], t, rho[squared])
     return values, clustered, errs
 
 

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import improved
 from .model import RedividedHamiltonian, SplitHamiltonian
-from .propagator import _tuple_sum
+from .propagator import _split_arrays, _tuple_sum
 
 # unused here; kept only because perfbench/spans.py wraps both names in this module
 from .coeff import dd_exp_batch  # noqa: F401
@@ -164,19 +164,18 @@ def enumerate_patterns(l: int) -> list[ContractionPattern]:
 def pattern_piece_matrix(
     energies, coupling, pattern: ContractionPattern, t: float
 ) -> np.ndarray:
-    """Matrix of one decomposition piece on a raw (energies, coupling) split."""
+    """Matrix of one decomposition piece on a raw (energies, coupling) split.
+
+    The energies and the D x D coupling must be finite (ValueError otherwise,
+    as for a coupling of another shape or a non-finite t).
+    """
     ne_pairs = pattern.ne_pairs
     if pattern.diag_class == "N":
         # first and last index differ even where a diagonal coupling would
         # otherwise join them
         ne_pairs += ((0, pattern.order),)
-    return _tuple_sum(
-        np.asarray(energies, dtype=float),
-        np.asarray(coupling, dtype=complex),
-        pattern.classes,
-        ne_pairs,
-        t,
-    )
+    energies, coupling = _split_arrays(energies, coupling)
+    return _tuple_sum(energies, coupling, pattern.classes, ne_pairs, t)
 
 
 def _pattern_pieces(m: RedividedHamiltonian, t: float, order: int) -> list[TermPiece]:

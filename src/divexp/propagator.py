@@ -86,6 +86,24 @@ class EvolutionResult:
 # ---------------------------------------------------------------------------
 
 
+def _split_arrays(energies, coupling):
+    """The raw split as a float level vector and a complex coupling matrix.
+
+    Raises ValueError unless the coupling is D x D for D levels and every
+    entry of both is finite.
+    """
+    energies = np.asarray(energies, dtype=float)
+    coupling = np.asarray(coupling, dtype=complex)
+    if energies.ndim != 1 or coupling.shape != (energies.size,) * 2:
+        raise ValueError(
+            "want energies of shape (D,) and coupling of shape (D, D), got "
+            f"{energies.shape} and {coupling.shape}"
+        )
+    if not (np.all(np.isfinite(energies)) and np.all(np.isfinite(coupling))):
+        raise ValueError("energies and coupling must be finite")
+    return energies, coupling
+
+
 def _route(dim: int, l: int) -> str:
     """Evaluation route of an order-l term at dimension dim."""
     if dim ** (l - 2) <= (l + 1) ** 2:
@@ -168,10 +186,10 @@ def _block_top_row(energies, coupling, L, t):
 def series_order_matrix(energies, coupling, l: int, t: float) -> np.ndarray:
     """Order-l term matrix for arbitrary split (coupling may carry a diagonal).
 
-    t must be finite (ValueError otherwise).
+    t, the energies and the D x D coupling must be finite (ValueError
+    otherwise, as for a coupling of another shape).
     """
-    energies = np.asarray(energies, dtype=float)
-    coupling = np.asarray(coupling, dtype=complex)
+    energies, coupling = _split_arrays(energies, coupling)
     if l < 1:
         raise ValueError("order must be >= 1")
     if not math.isfinite(t):

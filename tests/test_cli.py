@@ -317,6 +317,19 @@ def test_bench_small(tmp_path):
         float(cells[4])
 
 
+def test_bench_reports_a_pair_past_the_block_budget(tmp_path, capsys):
+    # order 700 at D = 3 needs a block of side 701 * 3 = 2103 > MAX_BLOCK_SIDE
+    out = tmp_path / "bench.csv"
+    argv = ["bench", "--dims", "3,4", "--orders", "2,700", "--out", str(out)]
+    assert run_cli(argv) == 2
+    assert not out.exists()
+    record = json.loads(capsys.readouterr().err)
+    assert record == {
+        "error": "BudgetExceededError",
+        "message": "block matrix of side 2103 exceeds 2048",
+    }
+
+
 @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
 def test_bench_rejects_a_non_finite_time(tmp_path, capsys, value):
     out = tmp_path / "bench.csv"

@@ -205,6 +205,16 @@ def test_dd_exp_batch_at_time_zero(rng, m):
             assert abs(v - want) <= min(e, series_rtol(x, 25.0) * abs(want))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_dd_exp_batch_rejects_non_finite_input(bad):
+    # also where the result would not need the bad value: one node, t = 0
+    for nodes, t in (([[bad, 1.0]], 1.0), ([[bad]], 1.0), ([[0.0, 1.0], [bad, bad]], 0.0)):
+        with pytest.raises(ValueError, match="^nodes must be finite$"):
+            dd_exp_batch(np.array(nodes), t)
+    with pytest.raises(ValueError, match="^t must be finite$"):
+        dd_exp_batch(np.array([[0.0, 1.0]]), bad)
+
+
 def _node_sets(rng, m):
     """Four m-node sets on [-1, 1]: spread out, with a pair 1e-9..1e-3
     apart, with an exact repeat, and all within 1e-9..1e-1 of one node."""
@@ -219,8 +229,8 @@ def _node_sets(rng, m):
 @settings(max_examples=20, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=2, max_value=8))
 # past SERIES_RADIUS on three rows: at t = 34.3 the spread-out rows take the
-# alternating sum and the repeat the matrix exponential; at t = 21.0 the
-# 1e-9..1e-3 pair is rerouted to the matrix exponential as well
+# alternating sum and the repeat the squared series; at t = 21.0 the
+# 1e-9..1e-3 pair is rerouted to the squared series as well
 @example(14, 3)
 @example(0, 7)
 def test_dd_exp_batch_matches_mpmath(seed, m):
@@ -237,6 +247,19 @@ def test_dd_exp_batch_matches_mpmath(seed, m):
         assert err <= e
         rtol = series_rtol(x, t) if r <= SERIES_RADIUS else FAR_RTOL
         assert err <= rtol * abs(want), (x.tolist(), t)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=2, max_value=8))
+def test_dd_exp_batch_far_rows_within_their_bounds(seed, m):
+    # |t| from 50 to 1e3, so rho reaches ~1e3 and the squared series up to
+    # nine squarings, on every kind of node set
+    rng = np.random.default_rng(seed)
+    nodes = _node_sets(rng, m)
+    t = float(10 ** rng.uniform(math.log10(50.0), 3.0)) * rng.choice([-1.0, 1.0])
+    vals, _, errs = dd_exp_batch(nodes, t)
+    for x, v, e in zip(nodes, vals, errs):
+        assert abs(v - mp_dd_exp(x, t)) <= e, (x.tolist(), t)
 
 
 def test_series_radius_follows_from_the_cancellation_bound(rng):

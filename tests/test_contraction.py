@@ -253,6 +253,33 @@ def test_pieces_reject_a_non_finite_time_at_zero_coupling(t):
             evaluate()
 
 
+_LEVELS = [0.0, 1.0, 2.5]
+_G = 0.1 * (np.ones((3, 3)) - np.eye(3))
+_NOT_FINITE = "^energies and coupling must be finite$"
+
+
+@pytest.mark.parametrize(
+    "e, g, match",
+    [
+        ([0.0, np.nan, 2.5], _G, _NOT_FINITE),
+        ([0.0, 1.0, np.inf], np.zeros((3, 3)), _NOT_FINITE),
+        (_LEVELS, np.where(np.eye(3) == 1, np.nan, _G), _NOT_FINITE),
+        (_LEVELS, np.where(np.eye(3) == 1, -np.inf, _G), _NOT_FINITE),
+        (_LEVELS, _G[:2, :2], r"got \(3,\) and \(2, 2\)$"),
+    ],
+    ids=["e-nan", "e-inf-at-zero-coupling", "g-nan", "g-neg-inf", "g-2x2-for-3-levels"],
+)
+def test_raw_splits_reject_input_they_cannot_evaluate(e, g, match):
+    # order 2 takes the tuple route and order 6 the block route at D = 3
+    assert propagator._route(3, 2) == "tuples" and propagator._route(3, 6) == "block"
+    evaluations = [lambda l=l: series_order_matrix(e, g, l, 0.8) for l in (2, 6)] + [
+        lambda p=p: pattern_piece_matrix(e, g, p, 0.8) for p in enumerate_patterns(3)
+    ]
+    for evaluate in evaluations:
+        with pytest.raises(ValueError, match=match):
+            evaluate()
+
+
 def test_third_order_regrouping_by_class(rng):
     # grouped piece content equals the class content of the whole term
     m = redivide(random_offdiag_model(rng, 5))
