@@ -148,13 +148,11 @@ def cmd_energy(args) -> int:
 def cmd_decompose(args) -> int:
     m = _load(args)
     t = args.t
-    if args.decompose_order == 2:
-        pieces = list(contraction.second_order_pieces(m, t))
-    elif args.decompose_order == 3:
-        pieces = contraction.third_order_pieces(m, t)
-    else:
+    if args.decompose_order not in (2, 3):
         raise ValueError("decompose supports --order 2 or 3")
+    # one evaluation of the term gives the pieces and the residual
     term = propagator.series_term(m, args.decompose_order, t)
+    pieces = contraction._pieces_from_term(m, t, args.decompose_order, term.matrix)
     total = sum(p.matrix for p in pieces)
     residual = float(np.linalg.norm(total - term.matrix))
     doc = {
@@ -255,13 +253,20 @@ def cmd_bench(args) -> int:
     rng = np.random.default_rng(args.seed)
     dims = [int(x) for x in args.dims.split(",")]
     orders = [int(x) for x in args.orders.split(",")]
-    rows = []
+    models = []
     for dim in dims:
         h1 = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         h1 = (h1 + h1.conj().T) / 2.0
         np.fill_diagonal(h1, 0.0)
         model = SplitHamiltonian(energies=np.arange(dim, dtype=float), perturbation=h1)
         m = redivide(model)
+        # a pair truncated_propagator would refuse fails before any eigensolve
+        for L in orders:
+            if L > 0 and np.any(m.offdiagonal):
+                propagator._block_side(dim, L)
+        models.append((model, m))
+    rows = []
+    for dim, (model, m) in zip(dims, models):
         scale = propagator.coupling_strength(m)
         t = args.t / max(scale, 1e-12)
         exact = propagator.oracle_eigensolve(model, t)

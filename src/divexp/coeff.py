@@ -275,13 +275,14 @@ def dd_exp_batch(nodes: np.ndarray, t: float):
     errs = np.zeros(B)
     if m == 1:
         values[:] = np.exp(-1j * nodes[:, 0] * t)
-        errs[:] = _EPS
+        errs[:] = _EPS * (1.0 + np.abs(nodes[:, 0] * t))
         return values, np.zeros(B, dtype=bool), errs
 
     srt = np.sort(nodes, axis=1)
-    lo, hi = srt[:, 0], srt[:, -1]
-    min_gap = np.diff(srt, axis=1).min(axis=1)
-    scale = np.maximum(np.abs(nodes).max(axis=1), 1.0)
+    st = np.ascontiguousarray(srt.T)  # one column per row: fast reductions
+    lo, hi = st[0], st[-1]
+    min_gap = np.diff(st, axis=0).min(axis=0)
+    scale = np.maximum(np.maximum(np.abs(lo), np.abs(hi)), 1.0)  # max |x|, at least 1
     clustered = min_gap <= CLUSTER_RTOL * scale
     if t == 0.0:
         return values, clustered, errs

@@ -10,10 +10,16 @@ coupling, which keeps adjacent indices distinct) is marked "k" and not split.
 This reproduces exactly 2 / 5 / 15 / 52 / 203 nontrivial pieces for orders
 2 through 6.
 
-Each piece is a tuple sum with its equal-index classes and unequal pairs,
-evaluated by the propagator's tuple-sum kernel on confluent divided
-differences, so repeated nodes (the delta-contracted indices) are handled as
-limits rather than 0/0.
+Each piece is a tuple sum with its equal-index classes and unequal pairs
+(pattern_piece_matrix), evaluated by the propagator's tuple-sum kernel on
+confluent divided differences, so repeated nodes (the delta-contracted
+indices) are handled as limits rather than 0/0.  second_order_pieces and
+third_order_pieces evaluate the term T_l once and take two pieces from it:
+the one pattern that reaches the diagonal is diag(T_l), and the one with
+all l + 1 indices distinct is the off-diagonal of T_l less the other
+pieces, so only cc, cn and nc (at most D^3 tuple ids each) are summed.  A
+piece taken from T_l is accurate to a few eps of max |T_l| rather than of
+its own size; pattern_piece_matrix stays the independent check of each.
 
 The resummed secular aggregates take the t^0 classes of the lower orders
 exactly, as the series coefficients of each level's spectral projector
@@ -34,11 +40,10 @@ import numpy as np
 
 from . import improved
 from .model import RedividedHamiltonian, SplitHamiltonian
-from .propagator import _split_arrays, _tuple_sum
+from .propagator import _split_arrays, _tuple_sum, series_order_matrix
 
-# unused here; kept only because perfbench/spans.py wraps both names in this module
+# unused here; kept only because perfbench/spans.py wraps this name in this module
 from .coeff import dd_exp_batch  # noqa: F401
-from .propagator import series_order_matrix  # noqa: F401
 
 MIN_PATTERN_ORDER = 2
 MAX_PATTERN_ORDER = 6
@@ -178,32 +183,89 @@ def pattern_piece_matrix(
     return _tuple_sum(energies, coupling, pattern.classes, ne_pairs, t)
 
 
-def _pattern_pieces(m: RedividedHamiltonian, t: float, order: int) -> list[TermPiece]:
+def _third_order_counts(coupling) -> np.ndarray:
+    """Entry (a, b): the tuples (a, i, j, b) of pairwise distinct indices,
+    but for a = b on the diagonal, whose coupling product is non-zero.
+
+    These are the tuples of nn,c on the diagonal and of nn,n off it.  With
+    B the non-zero mask of the coupling, whose diagonal is zero, (B^3)[a, b]
+    counts every walk a -> i -> j -> b, so adjacent indices differ.  On the
+    diagonal that is the count.  Off it, the walks with j = a number
+    s_a B[a, b], s_a = sum_i B[a, i] B[i, a], those with i = b number
+    B[a, b] s_b, and a -> b -> a -> b is among both.
+    """
+    mask = (coupling != 0).astype(float)  # counts stay exact in float64
+    s = (mask * mask.T).sum(axis=1)
+    return mask @ mask @ mask - mask * (s[:, None] + s[None, :] - mask.T)
+
+
+def _pieces_from_term(
+    m: RedividedHamiltonian, t: float, order: int, term: np.ndarray
+) -> list[TermPiece]:
+    """The order-2 or order-3 pieces, two of them derived from the term T_l.
+
+    The pieces of order l sum to T_l.  Only a pattern that joins the first
+    and last positions (diagonal class D) reaches the diagonal, and orders 2
+    and 3 have one such pattern, so it is diag(T_l).  One pattern puts all
+    l + 1 positions in separate classes; it is the off-diagonal of T_l less
+    every other N piece.  Those others (cc, cn and nc at order 3, none at
+    order 2) are direct tuple sums over at most D^l ids, so no sum here runs
+    over D^(l+1).  A derived entry carries an absolute rounding error on the
+    scale of max |T_l|.  At order 3 a derived entry is set to exactly 0
+    where its pattern has no tuple with a non-zero coupling product (every
+    nn,n entry at D <= 3), as the direct sum gives; at order 2 the term's
+    tuple sum is already exactly 0 there.
+    """
+    e, g = m.shifted_energies, m.offdiagonal
+    patterns = enumerate_patterns(order)
+    diag = np.diag(np.diag(term))
+    off = term - diag
+    matrices = {}
+    for p in patterns:
+        if p.diag_class == "N" and len(p.classes) <= order:
+            matrices[p] = pattern_piece_matrix(e, g, p, t)
+            off -= matrices[p]
+    if order == 3:
+        zero = _third_order_counts(g) == 0
+        diag[zero] = off[zero] = 0.0
+    for p in patterns:
+        if p not in matrices:
+            matrices[p] = diag if p.diag_class == "D" else off
     return [
         TermPiece(
             label=str(p),
-            matrix=pattern_piece_matrix(m.shifted_energies, m.offdiagonal, p, t),
+            matrix=matrices[p],
             time_class=p.time_class,
             diag_class=p.diag_class,
             pattern=p,
         )
-        for p in enumerate_patterns(order)
+        for p in patterns
     ]
+
+
+def _pieces(m: RedividedHamiltonian, t: float, order: int) -> list[TermPiece]:
+    term = series_order_matrix(m.shifted_energies, m.offdiagonal, order, t)
+    return _pieces_from_term(m, t, order, term)
 
 
 def second_order_pieces(m: RedividedHamiltonian, t: float) -> tuple[TermPiece, TermPiece]:
     """Contraction and anti-contraction pieces of the order-2 term.
 
     The contraction piece carries the secular (-i t) part and the squared
-    denominators; their sum equals the plain order-2 series term.
+    denominators; their sum equals the plain order-2 series term.  Both come
+    from that term: c is its diagonal and n the rest.
     """
-    c_piece, n_piece = _pattern_pieces(m, t, 2)
+    c_piece, n_piece = _pieces(m, t, 2)
     return c_piece, n_piece
 
 
 def third_order_pieces(m: RedividedHamiltonian, t: float) -> list[TermPiece]:
-    """The five order-3 pieces (cc, cn, nc, nn-c, nn-n), summing to the term."""
-    return _pattern_pieces(m, t, 3)
+    """The five order-3 pieces (cc, cn, nc, nn-c, nn-n), summing to the term.
+
+    cc, cn and nc are tuple sums; nn-c is the diagonal of the order-3 term
+    and nn-n its off-diagonal less cc, cn and nc.
+    """
+    return _pieces(m, t, 3)
 
 
 def mixed_second_order_pieces(m: SplitHamiltonian, t: float) -> list[TermPiece]:

@@ -153,17 +153,23 @@ def _order_matrix_tuples(energies, coupling, l, t):
     return _tuple_sum(energies, coupling, [(p,) for p in range(l + 1)], (), t)
 
 
+def _block_side(dim, L):
+    """Side (L+1) D of the block generator; BudgetExceededError past MAX_BLOCK_SIDE."""
+    side = (L + 1) * dim
+    if side > MAX_BLOCK_SIDE:
+        raise BudgetExceededError(
+            f"block matrix of side {side} exceeds {MAX_BLOCK_SIDE}"
+        )
+    return side
+
+
 def _generator(energies, coupling, L):
     """Block-bidiagonal generator A = -i (I ⊗ diag(E) + S ⊗ g) of orders 0..L.
 
     Block (i, i + j) of exp(t A) is the order-j term at time t.
     """
     dim = energies.size
-    side = (L + 1) * dim
-    if side > MAX_BLOCK_SIDE:
-        raise BudgetExceededError(
-            f"block matrix of side {side} exceeds {MAX_BLOCK_SIDE}"
-        )
+    side = _block_side(dim, L)
     A = np.zeros((side, side), dtype=complex)
     h0 = -1j * np.diag(energies.astype(complex))
     v = -1j * coupling

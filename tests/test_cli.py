@@ -330,6 +330,24 @@ def test_bench_reports_a_pair_past_the_block_budget(tmp_path, capsys):
     }
 
 
+def test_bench_checks_the_block_budget_before_the_eigensolve(tmp_path, capsys, monkeypatch):
+    # order 2 at D = 700 needs a block of side 3 * 700 = 2100 > MAX_BLOCK_SIDE;
+    # the D = 700 eigensolve would only slow the failure down
+    calls = []
+    monkeypatch.setattr(
+        propagator, "oracle_eigensolve", lambda m, t: calls.append(m.dim)
+    )
+    out = tmp_path / "bench.csv"
+    argv = ["bench", "--dims", "700,4", "--orders", "2", "--out", str(out)]
+    assert run_cli(argv) == 2
+    assert calls == [] and not out.exists()
+    record = json.loads(capsys.readouterr().err)
+    assert record == {
+        "error": "BudgetExceededError",
+        "message": "block matrix of side 2100 exceeds 2048",
+    }
+
+
 @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
 def test_bench_rejects_a_non_finite_time(tmp_path, capsys, value):
     out = tmp_path / "bench.csv"

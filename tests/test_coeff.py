@@ -13,7 +13,7 @@ from divexp import (
     dd_exp,
     denominators,
 )
-from divexp.coeff import _EPS, SERIES_RADIUS, dd_exp_batch
+from divexp.coeff import _EPS, CLUSTER_RTOL, SERIES_RADIUS, dd_exp_batch
 from oracles import binomial_expansion_tail, c_recurrence, mp_dd_exp
 
 #: relative accuracy stated for rows past SERIES_RADIUS, where the alternating
@@ -203,6 +203,28 @@ def test_dd_exp_batch_at_time_zero(rng, m):
         for x, v, e in zip(rerouted, vals[kind == 2], errs[kind == 2]):
             want = mp_dd_exp(x, 25.0)
             assert abs(v - want) <= min(e, series_rtol(x, 25.0) * abs(want))
+
+
+def test_one_node_bound_covers_the_phase_error():
+    # exp(-i x t) at |x t| ~ 1.5e4: the rounded product x t alone moves the
+    # value by ~1e-13, far past eps, and the bound eps (1 + |x t|) holds it
+    x, t = 0.1234567891234, 123456.789
+    vals, flags, errs = dd_exp_batch(np.array([[x]]), t)
+    err = abs(vals[0] - mp_dd_exp([x], t))
+    assert err > 1e-14 and not flags[0]
+    assert err <= errs[0] == _EPS * (1.0 + abs(x * t))
+
+
+def test_cluster_flags_match_a_per_row_gap_test(rng):
+    # the flag is min gap <= CLUSTER_RTOL max(1, max |x|), row by row
+    nodes = rng.uniform(-5.0, 5.0, size=(300, 4))
+    nodes[::3, 2] = nodes[::3, 1] + rng.uniform(0.0, 2e-6, size=100) * 5.0
+    _, flags, _ = dd_exp_batch(nodes, 0.7)
+    for x, flag in zip(nodes, flags):
+        srt = np.sort(x)
+        want = np.min(np.diff(srt)) <= CLUSTER_RTOL * max(np.max(np.abs(x)), 1.0)
+        assert flag == want
+    assert 0 < flags.sum() < len(flags)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import math
 
@@ -10,6 +11,7 @@ from divexp import (
     SplitHamiltonian,
     TwoStateExact,
     basis_state,
+    dump_model,
     enumerate_patterns,
     evolve,
     extract_secular_coefficients,
@@ -22,7 +24,7 @@ from divexp import (
     series_term,
     third_order_pieces,
 )
-from divexp import coeff, contraction, improved, propagator
+from divexp import cli, coeff, contraction, improved, propagator
 from divexp.contraction import pattern_piece_matrix
 from divexp.propagator import series_order_matrix
 from oracles import (
@@ -175,10 +177,14 @@ def test_piece_sums_near_degenerate(rng):
             assert all(np.all(np.isfinite(p.matrix)) for p in pieces)
 
 
-def test_all_distinct_piece_matches_a_60_digit_tuple_sum():
-    # a decompose-benchmark model: D = 12 levels on [0, 3] at least 0.5 / D
-    # apart, one pair moved to 1e-9 apart, a Hermitian perturbation of
-    # largest entry 0.3 whose diagonal the levels absorb
+@functools.cache
+def _all_distinct_piece_at_60_digits():
+    """A decompose-benchmark model, t = 0.37 and its nn,n piece to 60 digits.
+
+    D = 12 levels on [0, 3] at least 0.5 / D apart, one pair moved to 1e-9
+    apart, a Hermitian perturbation of largest entry 0.3 whose diagonal the
+    levels absorb.
+    """
     rng = np.random.default_rng(702)
     dim = 12
     while True:
@@ -191,12 +197,103 @@ def test_all_distinct_piece_matches_a_60_digit_tuple_sum():
     h = (h + h.conj().T) / 2.0
     h *= 0.3 / np.max(np.abs(h))
     m = redivide(SplitHamiltonian(energies=levels - np.diag(h).real, perturbation=h))
-    e, g, t = m.shifted_energies, m.offdiagonal, 0.37
+    t = 0.37
     # nn,n: the four tuple indices are pairwise distinct
+    return m, t, mp_distinct_tuple_sum(m.shifted_energies, m.offdiagonal, 3, t)
+
+
+def test_all_distinct_piece_matches_a_60_digit_tuple_sum():
+    m, t, want = _all_distinct_piece_at_60_digits()
     (pattern,) = [p for p in enumerate_patterns(3) if str(p) == "nn,n"]
-    got = pattern_piece_matrix(e, g, pattern, t)
-    want = mp_distinct_tuple_sum(e, g, 3, t)
+    got = pattern_piece_matrix(m.shifted_energies, m.offdiagonal, pattern, t)
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_derived_all_distinct_piece_matches_a_60_digit_tuple_sum():
+    # derived from the term, nn,n is accurate on the term's scale
+    m, t, want = _all_distinct_piece_at_60_digits()
+    nnn = third_order_pieces(m, t)[4]
+    assert nnn.label == "nn,n"
+    term = series_order_matrix(m.shifted_energies, m.offdiagonal, 3, t)
+    assert np.max(np.abs(nnn.matrix - want)) <= 1e-14 * np.max(np.abs(term))
+
+
+def _coupling(rng, dim, shape):
+    """Hermitian coupling, zero diagonal, of one sparsity shape."""
+    h = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    far = np.abs(np.subtract.outer(np.arange(dim), np.arange(dim)))
+    keep = {
+        "dense": far > 0,
+        "chain": far == 1,
+        "sparse": np.triu(rng.uniform(size=(dim, dim)) < 0.3, 1),
+        "star": np.outer(np.arange(dim) == 0, np.arange(dim) > 0),
+    }[shape]
+    h = np.triu(np.where(keep, h, 0.0), 1)
+    h = h + h.conj().T
+    return 0.3 * h / max(np.max(np.abs(h)), 1e-12)
+
+
+@pytest.mark.parametrize("shape", ["dense", "chain", "sparse", "star"])
+def test_derived_pieces_match_their_tuple_sums(rng, shape):
+    # every piece the decomposition takes from the term agrees with the
+    # direct tuple sum of its pattern, on the term's scale, and is exactly
+    # zero wherever that sum is
+    # the order-3 term takes the block route at D = 20
+    assert propagator._route(20, 3) == "block"
+    for dim in (*range(2, 9), 12, 20):
+        for pair in (False, True):
+            levels = np.sort(rng.uniform(0.0, 3.0, size=dim))
+            if pair:
+                levels[1] = levels[0] + 1e-9
+            h = _coupling(rng, dim, shape)
+            m = redivide(SplitHamiltonian(energies=levels, perturbation=h))
+            e, g, t = m.shifted_energies, m.offdiagonal, 1.0
+            for l, pieces in ((2, second_order_pieces(m, t)), (3, third_order_pieces(m, t))):
+                scale = np.max(np.abs(series_order_matrix(e, g, l, t)))
+                for piece, pattern in zip(pieces, enumerate_patterns(l)):
+                    assert piece.pattern == pattern and piece.label == str(pattern)
+                    want = pattern_piece_matrix(e, g, pattern, t)
+                    where = (shape, dim, pair, piece.label)
+                    assert np.max(np.abs(piece.matrix - want)) <= 1e-14 * scale, where
+                    assert np.all(piece.matrix[want == 0] == 0), where
+
+
+def test_decompose_evaluates_the_term_once_and_no_sum_past_d_to_the_l(
+    rng, tmp_path, monkeypatch
+):
+    calls = []
+
+    def counting(name, real):
+        def stub(*args):
+            calls.append((name, args))
+            return real(*args)
+
+        return stub
+
+    monkeypatch.setattr(
+        propagator, "series_order_matrix",
+        counting("term", propagator.series_order_matrix),
+    )
+    monkeypatch.setattr(
+        contraction, "pattern_piece_matrix",
+        counting("piece", contraction.pattern_piece_matrix),
+    )
+    for module in (propagator, contraction):
+        monkeypatch.setattr(module, "_tuple_sum", counting("sum", module._tuple_sum))
+    dim = 6
+    path = tmp_path / "model.json"
+    path.write_bytes(dump_model(random_offdiag_model(rng, dim, min_gap=0.1)))
+    for order, pieces in ((2, 0), (3, 3)):
+        calls.clear()
+        argv = ["decompose", "--model", str(path), "--order", str(order),
+                "--out", str(tmp_path / "out.json")]
+        assert cli.main(argv) == 0
+        names = [name for name, _ in calls]
+        assert names.count("term") == 1 and names.count("piece") == pieces
+        # one sum of D^(l+1) ids, the term's; every other sum has at most l classes
+        classes = [len(args[2]) for name, args in calls if name == "sum"]
+        assert classes.count(order + 1) == 1 and max(classes) == order + 1
+        assert len(classes) == pieces + 1
 
 
 def test_tuple_sums_take_one_divided_difference_call_per_chunk(rng, monkeypatch):
