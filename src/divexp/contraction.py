@@ -184,8 +184,8 @@ def pattern_piece_matrix(
 
 
 def _third_order_counts(coupling) -> np.ndarray:
-    """Entry (a, b): the tuples (a, i, j, b) of pairwise distinct indices,
-    but for a = b on the diagonal, whose coupling product is non-zero.
+    """Entry (a, b): the number of tuples (a, i, j, b) of pairwise distinct
+    indices, but for a = b on the diagonal, whose coupling product is non-zero.
 
     These are the tuples of nn,c on the diagonal and of nn,n off it.  With
     B the non-zero mask of the coupling, whose diagonal is zero, (B^3)[a, b]
