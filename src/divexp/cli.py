@@ -2,7 +2,7 @@
 
 Subcommands: propagate, transition, energy, decompose, verify-identity,
 demo, bench.  Outputs are deterministic given (inputs, seed): CSV uses '.'
-decimals, '\\n' line endings and a header row; JSON is emitted with sorted
+decimals, '\\n' line endings and a header row; JSON is one line with sorted
 keys.  Failures exit nonzero with a machine-readable error record on stderr.
 """
 
@@ -52,7 +52,8 @@ def _csv_text(header, rows):
 
 
 def _json_text(doc):
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    # one line: with indent set, json falls back to its pure-Python encoder
+    return json.dumps(doc, sort_keys=True) + "\n"
 
 
 def _times(args) -> np.ndarray:

@@ -213,8 +213,9 @@ def _pieces_from_term(
     over D^(l+1).  A derived entry carries an absolute rounding error on the
     scale of max |T_l|.  At order 3 a derived entry is set to exactly 0
     where its pattern has no tuple with a non-zero coupling product (every
-    nn,n entry at D <= 3), as the direct sum gives; at order 2 the term's
-    tuple sum is already exactly 0 there.
+    nn,n entry at D <= 3), as the direct sum gives; at order 2 the term is
+    already exactly 0 there, where no walk of two coupling steps joins the
+    row and the column.
     """
     e, g = m.shifted_energies, m.offdiagonal
     patterns = enumerate_patterns(order)

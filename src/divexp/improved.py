@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .model import (
     HERMITICITY_RTOL,
@@ -329,6 +328,9 @@ def revised_golden_rule(
             f"density window [{rho_e[0]:g}, {rho_e[-1]:g}] does not contain the "
             f"initial level energy {e_beta:g}"
         )
+    # imported here: the rest of divexp needs no scipy.interpolate
+    from scipy.interpolate import PchipInterpolator
+
     density = PchipInterpolator(rho_e, rho_v, extrapolate=False)
 
     others = [i for i in range(dim) if i != from_level]

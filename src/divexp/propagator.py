@@ -1,29 +1,33 @@
 """Series terms of the propagator, truncation, evolution, and the eigensolve.
 
-The order-l contribution to <g| exp(-i H t) |g'> is a sum over index tuples
-(g_1 .. g_{l+1}) of the exponential divided difference over the corresponding
-energy tuple times the product of coupling matrix elements along the tuple.
-One private kernel, _tuple_sum, evaluates every such sum: the series terms of
-the tuple route and, with some indices forced equal and others unequal, the
-contraction and mixed pieces of divexp.contraction.  It walks the flat tuple
-ids in chunks of TUPLES_PER_CALL and makes one dd_exp_batch call per chunk
-over the chunk's distinct node multisets.  Two evaluation routes give the same
-terms: direct tuple enumeration (cost ~ D^(l+1) tuples) and the
-block-bidiagonal matrix exponential whose top block row carries every order
-at once (cost ~ ((l+1) D)^3).  For one term, series_order_matrix fixes the
-route by the dimension D and the order l: tuples when D^(l-2) <= (l+1)^2
-(every D at l <= 2), the block exponential otherwise.  truncated_propagator
-needs every order at once and always takes the block route.  The block route
-refuses matrices of side (l+1) D above MAX_BLOCK_SIDE = 2048 with
-BudgetExceededError.  evolve also takes the block route: the generator A does
-not depend on t, so one exponential exp(h A) steps the state across an evenly
-spaced time grid, and each time off that grid costs one more exponential.
-evolve raises BudgetExceededError whenever (L+1) D > 2048, at any L, and
-truncated_propagator does too unless L == 0 or the coupling is zero.
-oracle_eigensolve, the exact propagator from a dense eigendecomposition, is
-the reference `divexp bench` measures the truncation error against; the
-other independent routes that check these terms live with the tests, in
-tests/oracles.py.
+The order-l term T_l of <g| exp(-i H t) |g'> is the eps^l coefficient of
+exp(-i t (E' + eps g)).  That is block l of the top block row of exp(t A),
+for the block-bidiagonal generator A = -i (I (x) diag(E') + S (x) g) of
+orders 0..L.  A is block upper-triangular Toeplitz, so exp(t A) is fixed by
+its top block row E_0..E_L, and that row lives in an algebra of L + 1 blocks
+of D x D whose product is the cut-off convolution
+(PQ)_k = sum_{i+j=k} P_i Q_j (Van Loan, IEEE TAC 1978; Najfeld & Havel,
+Adv. Appl. Math. 1995).  series_order_matrix takes T_l from _algebra_top_row,
+which exponentiates in that algebra: a Taylor polynomial at t A / 2^s and s
+squarings, with a degree and a scaling fixed by a stated truncation bound
+and no matrix of side (L+1) D.  truncated_propagator and evolve take the
+dense exponential of the block generator instead (scipy.linalg.expm on side
+(L+1) D).  All three refuse (L+1) D above MAX_BLOCK_SIDE = 2048 with
+BudgetExceededError: evolve at any L, and truncated_propagator unless
+L == 0 or the coupling is zero.  The generator does not depend on t, so one
+exponential exp(h A) steps evolve's state across an evenly spaced time grid,
+and each time off that grid costs one more exponential.
+
+The same term is a sum over index tuples (g_1 .. g_{l+1}) of the exponential
+divided difference over the tuple's energies times the product of coupling
+elements along it.  One private kernel, _tuple_sum, evaluates such sums with
+some indices forced equal and others unequal: the contraction and mixed
+pieces of divexp.contraction.  It walks the flat tuple ids in chunks of
+TUPLES_PER_CALL and makes one dd_exp_batch call per chunk over the chunk's
+distinct node multisets.  oracle_eigensolve, the exact propagator from a
+dense eigendecomposition, is the reference `divexp bench` measures the
+truncation error against; the other independent routes that check these
+terms live with the tests, in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -104,13 +108,6 @@ def _split_arrays(energies, coupling):
     return energies, coupling
 
 
-def _route(dim: int, l: int) -> str:
-    """Evaluation route of an order-l term at dimension dim."""
-    if dim ** (l - 2) <= (l + 1) ** 2:
-        return "tuples"
-    return "block"
-
-
 def _tuple_sum(energies, coupling, classes, ne_pairs, t):
     """Sum over index tuples of the divided difference times the coupling product.
 
@@ -149,10 +146,6 @@ def _tuple_sum(energies, coupling, classes, ne_pairs, t):
     return out
 
 
-def _order_matrix_tuples(energies, coupling, l, t):
-    return _tuple_sum(energies, coupling, [(p,) for p in range(l + 1)], (), t)
-
-
 def _block_side(dim, L):
     """Side (L+1) D of the block generator; BudgetExceededError past MAX_BLOCK_SIDE."""
     side = (L + 1) * dim
@@ -189,20 +182,72 @@ def _block_top_row(energies, coupling, L, t):
     return [E[0:dim, j * dim : (j + 1) * dim] for j in range(L + 1)]
 
 
+def _algebra_top_row(energies, coupling, L, t):
+    """Top block row E_0..E_L of exp(t A), as an (L+1, D, D) array.
+
+    An element X of the algebra is its blocks X_0..X_L; tA has the diagonal
+    block 0 -i t diag(E - c) and block 1 -i t g.  The levels are centred by
+    c = (max E + min E) / 2, and the scalar phase exp(-i t c) multiplies the
+    row at the end.
+
+    The bound: ||X|| = sum_k ||X_k||_1 / nu^k, with nu = |t| ||g||_1, is
+    submultiplicative for every nu > 0, and ||tA|| <= theta = |t| r + 1 with
+    r = max |E - c|.  At x = theta / 2^s < 1/2 the degree-m Taylor
+    polynomial misses exp by at most
+    rho_m(x) = sum_{j>m} x^j / j! <= x^(m+1) / (m+1)! * (m+2) / (m+2-x),
+    and s squarings make that at most 2^s e^x rho_m(x) relative to
+    ||exp(tA)||, which the Dyson bound ||E_k||_1 <= nu^k / k! puts below e.
+    m is the least degree that brings 2^s e^x rho_m(x) below 2^-53, so the
+    truncation stays under the rounding of each block on its own scale nu^k.
+    Each Horner step is one column scaling and one batched product by the
+    coupling block; each squaring is one batched convolution per block.  An
+    entry of E_k that no walk of k coupling steps reaches stays exactly 0.
+    """
+    dim = energies.size
+    c = (energies.max() + energies.min()) / 2.0
+    theta = abs(t) * float(energies.max() - c) + 1.0
+    if not math.isfinite(theta):
+        raise ValueError("t times the level spread overflows")
+    s = math.frexp(theta)[1] + 1
+    x = math.ldexp(theta, -s)
+    log_goal = math.log(2.0**-53) - s * math.log(2.0) - x
+    m = 1
+    while (
+        (m + 1) * math.log(x) - math.lgamma(m + 2) + math.log((m + 2) / (m + 2 - x))
+        > log_goal
+    ):
+        m += 1
+    h = math.ldexp(t, -s)
+    d = -1j * h * (energies - c)
+    v = -1j * h * coupling
+    eye = np.eye(dim, dtype=complex)
+    P = np.zeros((L + 1, dim, dim), dtype=complex)
+    P[0] = eye
+    for j in range(m, 0, -1):
+        Q = P * d
+        Q[1:] += P[:-1] @ v
+        Q /= j
+        Q[0] += eye
+        P = Q
+    for _ in range(s):
+        P = np.stack([(P[: k + 1] @ P[k::-1]).sum(axis=0) for k in range(L + 1)])
+    return P * np.exp(-1j * t * c)
+
+
 def series_order_matrix(energies, coupling, l: int, t: float) -> np.ndarray:
     """Order-l term matrix for arbitrary split (coupling may carry a diagonal).
 
     t, the energies and the D x D coupling must be finite (ValueError
-    otherwise, as for a coupling of another shape).
+    otherwise, as for a coupling of another shape), and (l+1) D at most
+    MAX_BLOCK_SIDE (BudgetExceededError otherwise).
     """
     energies, coupling = _split_arrays(energies, coupling)
     if l < 1:
         raise ValueError("order must be >= 1")
     if not math.isfinite(t):
         raise ValueError("t must be finite")
-    if _route(energies.size, l) == "tuples":
-        return _order_matrix_tuples(energies, coupling, l, float(t))
-    return _block_top_row(energies, coupling, l, float(t))[l]
+    _block_side(energies.size, l)
+    return _algebra_top_row(energies, coupling, l, float(t))[l]
 
 
 def series_term(m: RedividedHamiltonian, l: int, t: float) -> SeriesTerm:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from divexp import SplitHamiltonian, redivide
-from divexp.propagator import _order_matrix_tuples
+from divexp.propagator import _tuple_sum
 
 
 #: level draws random_offdiag_model makes before it gives up on min_gap
@@ -41,8 +41,34 @@ def random_hermitian_model(rng, dim, energy_spread=3.0, coupling=0.5):
     )
 
 
+def random_coupling(rng, dim, shape):
+    """Hermitian coupling, zero diagonal, of one sparsity shape."""
+    h = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    far = np.abs(np.subtract.outer(np.arange(dim), np.arange(dim)))
+    keep = {
+        "dense": far > 0,
+        "chain": far == 1,
+        "sparse": np.triu(rng.uniform(size=(dim, dim)) < 0.3, 1),
+        "star": np.outer(np.arange(dim) == 0, np.arange(dim) > 0),
+    }[shape]
+    h = np.triu(np.where(keep, h, 0.0), 1)
+    h = h + h.conj().T
+    return 0.3 * h / max(np.max(np.abs(h)), 1e-12)
+
+
+def _order_matrix_tuples(energies, coupling, l, t):
+    """Order-l term as a sum over all D^(l+1) index tuples: the tuple route.
+
+    divexp's tuple-sum kernel, which the contraction pieces run on, with
+    every tuple position in its own class.  It lives here rather than in
+    oracles.py, whose routes call no divexp code; the series term itself
+    no longer runs this kernel.
+    """
+    return _tuple_sum(energies, coupling, [(p,) for p in range(l + 1)], (), t)
+
+
 def tuples_term(m, l, t):
-    """Order-l term on the tuple route, whatever route series_term would take."""
+    """Order-l term of a redivided model on the tuple route."""
     return _order_matrix_tuples(m.shifted_energies, m.offdiagonal, l, t)
 
 

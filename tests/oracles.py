@@ -193,17 +193,26 @@ def oracle_dyson_order(
 
 
 def oracle_block_order(m: RedividedHamiltonian, l: int, t: float) -> np.ndarray:
-    """Order-l term as the top-right block of one dense block exponential.
+    """Order-l term as block (0, l) of one dense block exponential.
 
     The (l+1) x (l+1) block matrix carries diag(E') on its diagonal blocks
-    and g on the blocks above them; its exponential at -i t holds the
-    order-j term in block (0, j).
+    and g / nu on the blocks above them; its exponential at -i t holds the
+    order-j term over nu^j in block (0, j).  nu, the power of two nearest
+    |t| ||g||_1, puts every block on the scale of its Dyson bound
+    (|t| ||g||_1)^j / j!, so the exponential's error stays on each block's
+    own scale, and scaling by a power of two is exact.  The matrix is laid
+    out level by level rather than block by block: that order is not
+    triangular wherever g has entries on both sides of its diagonal, so
+    scipy takes its general squaring, not its triangular one, whose
+    divided differences of exp cancel between close levels.
     """
     if l < 1:
         raise ValueError("order must be >= 1")
-    e = m.shifted_energies
-    H = np.kron(np.eye(l + 1), np.diag(e)) + np.kron(np.eye(l + 1, k=1), m.offdiagonal)
-    return scipy.linalg.expm(-1j * t * H)[: e.size, l * e.size :]
+    e, g = m.shifted_energies, m.offdiagonal
+    y = abs(t) * float(np.abs(g).sum(axis=0).max(initial=0.0))
+    nu = 2.0 ** round(math.log2(y)) if y > 0 else 1.0
+    H = np.kron(np.diag(e), np.eye(l + 1)) + np.kron(g / nu, np.eye(l + 1, k=1))
+    return scipy.linalg.expm(-1j * t * H)[0 :: l + 1, l :: l + 1] * nu**l
 
 
 def mp_dd_exp(nodes, t: float) -> complex:

@@ -8,7 +8,19 @@ import sys
 import numpy as np
 import pytest
 
-from divexp import TwoStateExact, c_closed, cli, dump_model, improved, propagator
+from divexp import (
+    TwoStateExact,
+    basis_state,
+    c_closed,
+    cli,
+    contraction,
+    dump_model,
+    evolve,
+    improved,
+    load_model_path,
+    propagator,
+    redivide,
+)
 from divexp.cli import _csv_text, main
 
 
@@ -139,6 +151,37 @@ def test_decompose(model_path, tmp_path):
     doc = json.loads(out.read_text())
     assert doc["residual_vs_series_term"] < 1e-12
     assert len(doc["pieces"]) == 2
+
+
+def test_json_documents_are_one_line_of_the_library_values(model_path, capsys):
+    # every JSON subcommand writes one line of sorted keys, the form of the
+    # stderr error records, and its floats read back as the library's own
+    model = load_model_path(model_path)
+    m = redivide(model)
+    times = np.linspace(0.0, 1.0, 3)
+    pieces = contraction.third_order_pieces(m, 1.0)
+    cases = [
+        (["propagate", "--order", "4"], "amplitudes",
+         [[[z.real, z.imag] for z in row]
+          for row in evolve(m, basis_state(2, 0), times, 4).amplitudes]),
+        (["transition", "--from", "0", "--to", "1"], "p_improved",
+         list(improved.improved_transition(m, 0, 1, times).p_improved)),
+        (["energy", "--level", "0", "--max-order", "4"], "improved_energy",
+         improved.improved_energy(model, 0, 4)),
+        (["decompose", "--order", "3"], "pieces",
+         [[[[z.real, z.imag] for z in row] for row in p.matrix] for p in pieces]),
+    ]
+    for argv, key, want in cases:
+        time_args = ["--t-count", "3"] if argv[0] in ("propagate", "transition") else []
+        assert run_cli([*argv, "--model", model_path, "--format", "json", *time_args]) == 0
+        text = capsys.readouterr().out
+        doc = json.loads(text)
+        assert text == json.dumps(doc, sort_keys=True) + "\n", argv[0]
+        got = [p["matrix"] for p in doc["pieces"]] if key == "pieces" else doc[key]
+        assert got == want, argv[0]
+    assert run_cli(["verify-identity", "--l-max", "3", "--trials", "5"]) == 0
+    text = capsys.readouterr().out
+    assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
 
 
 @pytest.mark.parametrize("value", ["inf", "nan"])
@@ -273,6 +316,20 @@ def test_import_leaves_the_quadrature_oracle_unloaded():
     for path in src.rglob("*.py"):
         assert "scipy.integrate" not in path.read_text(), path.name
     code = "import sys, divexp, divexp.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH="src"),
+        cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
+
+
+def test_import_leaves_the_interpolator_unloaded():
+    # scipy.interpolate serves only revised_golden_rule, which imports it
+    code = "import sys, divexp.cli; print('scipy.interpolate' in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,

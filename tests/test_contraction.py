@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import random_hermitian_model, random_offdiag_model, tuples_term
+from conftest import (
+    _order_matrix_tuples,
+    random_coupling,
+    random_hermitian_model,
+    random_offdiag_model,
+    tuples_term,
+)
 from divexp import (
     SplitHamiltonian,
     TwoStateExact,
@@ -218,34 +224,17 @@ def test_derived_all_distinct_piece_matches_a_60_digit_tuple_sum():
     assert np.max(np.abs(nnn.matrix - want)) <= 1e-14 * np.max(np.abs(term))
 
 
-def _coupling(rng, dim, shape):
-    """Hermitian coupling, zero diagonal, of one sparsity shape."""
-    h = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    far = np.abs(np.subtract.outer(np.arange(dim), np.arange(dim)))
-    keep = {
-        "dense": far > 0,
-        "chain": far == 1,
-        "sparse": np.triu(rng.uniform(size=(dim, dim)) < 0.3, 1),
-        "star": np.outer(np.arange(dim) == 0, np.arange(dim) > 0),
-    }[shape]
-    h = np.triu(np.where(keep, h, 0.0), 1)
-    h = h + h.conj().T
-    return 0.3 * h / max(np.max(np.abs(h)), 1e-12)
-
-
 @pytest.mark.parametrize("shape", ["dense", "chain", "sparse", "star"])
 def test_derived_pieces_match_their_tuple_sums(rng, shape):
     # every piece the decomposition takes from the term agrees with the
     # direct tuple sum of its pattern, on the term's scale, and is exactly
     # zero wherever that sum is
-    # the order-3 term takes the block route at D = 20
-    assert propagator._route(20, 3) == "block"
     for dim in (*range(2, 9), 12, 20):
         for pair in (False, True):
             levels = np.sort(rng.uniform(0.0, 3.0, size=dim))
             if pair:
                 levels[1] = levels[0] + 1e-9
-            h = _coupling(rng, dim, shape)
+            h = random_coupling(rng, dim, shape)
             m = redivide(SplitHamiltonian(energies=levels, perturbation=h))
             e, g, t = m.shifted_energies, m.offdiagonal, 1.0
             for l, pieces in ((2, second_order_pieces(m, t)), (3, third_order_pieces(m, t))):
@@ -290,10 +279,9 @@ def test_decompose_evaluates_the_term_once_and_no_sum_past_d_to_the_l(
         assert cli.main(argv) == 0
         names = [name for name, _ in calls]
         assert names.count("term") == 1 and names.count("piece") == pieces
-        # one sum of D^(l+1) ids, the term's; every other sum has at most l classes
+        # the term is no tuple sum; every sum left has at most l classes
         classes = [len(args[2]) for name, args in calls if name == "sum"]
-        assert classes.count(order + 1) == 1 and max(classes) == order + 1
-        assert len(classes) == pieces + 1
+        assert len(classes) == pieces and all(n <= order for n in classes)
 
 
 def test_tuple_sums_take_one_divided_difference_call_per_chunk(rng, monkeypatch):
@@ -305,7 +293,8 @@ def test_tuple_sums_take_one_divided_difference_call_per_chunk(rng, monkeypatch)
         return real(nodes, t)
 
     monkeypatch.setattr(propagator, "dd_exp_batch", counting)
-    # every piece and term here has at most 6^4 <= TUPLES_PER_CALL tuple ids
+    # every piece and tuple-route term here has at most 6^4 <= TUPLES_PER_CALL
+    # tuple ids
     dim = 6
     m = redivide(random_offdiag_model(rng, dim, min_gap=0.1))
     e, g = m.shifted_energies, m.offdiagonal
@@ -314,9 +303,8 @@ def test_tuple_sums_take_one_divided_difference_call_per_chunk(rng, monkeypatch)
         pattern_piece_matrix(e, g, pattern, 0.8)
         assert len(calls) == 1, str(pattern)
     for l in (1, 2, 3):
-        assert propagator._route(dim, l) == "tuples"
         calls.clear()
-        series_order_matrix(e, g, l, 0.8)
+        _order_matrix_tuples(e, g, l, 0.8)
         # one node list per distinct node multiset: the term holds
         # D (D - 1)^l tuples with a non-zero coupling product, and tuples
         # that visit the same levels in another order share a multiset
@@ -326,7 +314,7 @@ def test_tuple_sums_take_one_divided_difference_call_per_chunk(rng, monkeypatch)
     dim, l, t = 20, 3, 0.8
     m = redivide(random_offdiag_model(rng, dim, min_gap=0.0))
     calls.clear()
-    got = propagator._order_matrix_tuples(m.shifted_energies, m.offdiagonal, l, t)
+    got = _order_matrix_tuples(m.shifted_energies, m.offdiagonal, l, t)
     assert len(calls) == math.ceil(dim ** (l + 1) / propagator.TUPLES_PER_CALL) == 40
     want = oracle_block_order(m, l, t)
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
@@ -367,8 +355,6 @@ _NOT_FINITE = "^energies and coupling must be finite$"
     ids=["e-nan", "e-inf-at-zero-coupling", "g-nan", "g-neg-inf", "g-2x2-for-3-levels"],
 )
 def test_raw_splits_reject_input_they_cannot_evaluate(e, g, match):
-    # order 2 takes the tuple route and order 6 the block route at D = 3
-    assert propagator._route(3, 2) == "tuples" and propagator._route(3, 6) == "block"
     evaluations = [lambda l=l: series_order_matrix(e, g, l, 0.8) for l in (2, 6)] + [
         lambda p=p: pattern_piece_matrix(e, g, p, 0.8) for p in enumerate_patterns(3)
     ]

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import random_hermitian_model, random_offdiag_model, tuples_term
+from conftest import (
+    _order_matrix_tuples,
+    random_coupling,
+    random_hermitian_model,
+    random_offdiag_model,
+    tuples_term,
+)
 from divexp import (
     BudgetExceededError,
     SplitHamiltonian,
@@ -21,7 +27,6 @@ from divexp import (
 from divexp import propagator
 from divexp.propagator import (
     MAX_AUTO_ORDER,
-    _route,
     _tail_bound,
     auto_order,
     coupling_strength,
@@ -97,15 +102,46 @@ def test_order_equivalence_against_both_oracles(rng):
 
 def test_tuple_route_with_diagonal_coupling(rng):
     # a raw split whose coupling carries a diagonal: tuples may repeat an
-    # index next to itself, which the redivided models never do
+    # index next to itself, which the redivided models never do; the series
+    # term and the tuple sum both match the dense block row
     model = random_hermitian_model(rng, 4)
     e, v = model.energies, model.perturbation
     t = 0.9
     row = propagator._block_top_row(e, v, 4, t)
     for l in range(1, 5):
-        assert _route(4, l) == "tuples"
-        got = series_order_matrix(e, v, l, t)
-        assert np.linalg.norm(got - row[l]) / np.linalg.norm(row[l]) < 1e-12, l
+        for got in (series_order_matrix(e, v, l, t), _order_matrix_tuples(e, v, l, t)):
+            assert np.linalg.norm(got - row[l]) / np.linalg.norm(row[l]) < 1e-12, l
+
+
+@pytest.mark.parametrize("pair", [False, True], ids=["apart", "pair"])
+@pytest.mark.parametrize("shape", ["dense", "chain", "sparse"])
+def test_algebra_top_row_matches_the_dense_block_exponential(rng, shape, pair):
+    # every block E_k within 1e-13 of the dense block's largest entry, and
+    # exactly 0 wherever no walk of k coupling steps joins its row and column
+    # (all of E_1..E_L at zero coupling, which every D = 1 model has)
+    t = 1.0
+    for dim in range(1, 21):
+        levels = np.sort(rng.uniform(0.0, 3.0, size=dim))
+        if pair and dim > 1:
+            levels[1] = levels[0] + 1e-9  # the decompose workload's close pair
+        h = random_coupling(rng, dim, shape)
+        m = redivide(SplitHamiltonian(energies=levels, perturbation=h))
+        e, g = m.shifted_energies, m.offdiagonal
+        want = [np.diag(np.exp(-1j * e * t))]
+        want += [oracle_block_order(m, k, t) for k in range(1, 7)]
+        walks = [np.eye(dim)]
+        for _ in range(6):
+            walks.append(walks[-1] @ (g != 0))
+        for L in range(1, 7):
+            row = propagator._algebra_top_row(e, g, L, t)
+            assert row.shape == (L + 1, dim, dim)
+            for k in range(L + 1):
+                where = (dim, L, k)
+                scale = np.max(np.abs(want[k]))
+                assert np.max(np.abs(row[k] - want[k])) <= 1e-13 * scale, where
+                assert np.all(row[k][walks[k] == 0] == 0), where
+    zero = propagator._algebra_top_row(e, np.zeros_like(g), 3, t)
+    assert np.array_equal(zero[1:], np.zeros_like(zero[1:]))
 
 
 def test_tuple_sum_past_int64_keys():
@@ -125,6 +161,13 @@ def test_tuple_sum_past_int64_keys():
     assert np.array_equal(big[:2, :2], small)
     big[:2, :2] = 0
     assert not np.any(big)
+
+
+def test_series_term_rejects_a_time_past_the_float_range():
+    # |t| times half the level spread overflows: no scaling brings tA to 1/2
+    g = np.array([[0.0, 0.1], [0.1, 0.0]])
+    with pytest.raises(ValueError, match="^t times the level spread overflows$"):
+        series_order_matrix([0.0, 1e300], g, 2, 1e10)
 
 
 def test_truncated_propagator_order_zero(small_redivided):
@@ -150,8 +193,7 @@ def test_truncated_propagator_exact_at_zero_coupling(rng):
 
 
 def test_truncated_propagator_takes_one_block_exponential(rng, monkeypatch):
-    # every order comes from the top block row of one exponential, also at
-    # shapes where a single term would take the tuple route
+    # every order comes from the top block row of one exponential
     sides = []
     expm = scipy.linalg.expm
 
@@ -162,7 +204,6 @@ def test_truncated_propagator_takes_one_block_exponential(rng, monkeypatch):
     monkeypatch.setattr(propagator.scipy.linalg, "expm", counting_expm)
     m = redivide(random_offdiag_model(rng, 8, min_gap=0.05))
     L, t = 2, 1.3 / coupling_strength(m)
-    assert _route(8, L) == "tuples"
     U = truncated_propagator(m, L, t).matrix
     assert sides == [(L + 1) * 8]
     want = np.diag(np.exp(-1j * m.shifted_energies * t))
@@ -171,9 +212,8 @@ def test_truncated_propagator_takes_one_block_exponential(rng, monkeypatch):
 
 
 def test_truncated_propagator_size_guard(rng):
-    # (L+1) D = 2050: refused at L = 1, where a single term takes the tuple route
+    # (L+1) D = 2050: refused at L = 1
     m = redivide(random_offdiag_model(rng, 1025, min_gap=0.0))
-    assert _route(1025, 1) == "tuples"
     with pytest.raises(BudgetExceededError, match="2050"):
         truncated_propagator(m, 1, 0.5)
 
@@ -414,42 +454,22 @@ def test_redivision_equivalence(rng):
 
 def test_block_size_guard(rng, monkeypatch):
     # side (l+1) D = 2048 is the largest block allowed; the stub keeps the
-    # 2048x2048 exponential itself out of the test
-    sides = []
+    # D = 512 exponential itself out of the test
+    shapes = []
 
-    def fake_expm(M):
-        sides.append(M.shape[0])
-        return np.zeros_like(M)
+    def fake_top_row(energies, coupling, L, t):
+        shapes.append((L, energies.size))
+        return np.zeros((L + 1, energies.size, energies.size), dtype=complex)
 
-    monkeypatch.setattr(scipy.linalg, "expm", fake_expm)
+    monkeypatch.setattr(propagator, "_algebra_top_row", fake_top_row)
     m = redivide(random_offdiag_model(rng, 512, min_gap=0.0))
-    assert _route(512, 3) == "block"
     assert series_term(m, 3, 0.5).matrix.shape == (512, 512)
-    assert sides == [2048]
+    assert shapes == [(3, 512)]
     m = redivide(random_offdiag_model(rng, 513, min_gap=0.0))
     with pytest.raises(BudgetExceededError) as exc:
         series_term(m, 3, 0.5)
     assert "2052" in str(exc.value)
-    assert sides == [2048]
-
-
-def test_route_pins():
-    # the rule's edges: tuples while l == 1 or D^(l-2) <= (l+1)^2
-    pins = [
-        (16, 3, "tuples"), (17, 3, "block"),
-        (5, 4, "tuples"), (6, 4, "block"),
-        (3, 5, "tuples"), (4, 5, "block"),
-        (2048, 1, "tuples"), (2048, 2, "tuples"),
-    ]
-    # benchmark shapes: grid, matrix, decompose; then D = 5 at orders 1-3, the
-    # improved workload's size, kept as a pin of the rule although its exact
-    # secular classes take no route
-    pins += [(d, l, "block") for d in (6, 8, 10) for l in range(10, 16)]
-    pins += [(d, l, "block") for d in (48, 64, 96) for l in (6, 8)]
-    pins += [(d, l, "tuples") for d in (8, 12, 16) for l in (2, 3)]
-    pins += [(5, l, "tuples") for l in range(1, 4)]
-    for dim, l, route in pins:
-        assert _route(dim, l) == route, (dim, l)
+    assert shapes == [(3, 512)]
 
 
 def test_coupling_strength_is_exact(rng):
