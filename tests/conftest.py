@@ -60,9 +60,9 @@ def _order_matrix_tuples(energies, coupling, l, t):
     """Order-l term as a sum over all D^(l+1) index tuples: the tuple route.
 
     divexp's tuple-sum kernel, which the contraction pieces run on, with
-    every tuple position in its own class.  It lives here rather than in
-    oracles.py, whose routes call no divexp code; the series term itself
-    no longer runs this kernel.
+    every tuple position in its own class: independent of the series
+    term's own kernel, the exponential in the block-Toeplitz algebra.  It
+    lives here rather than in oracles.py, whose routes call no divexp code.
     """
     return _tuple_sum(energies, coupling, [(p,) for p in range(l + 1)], (), t)
 
