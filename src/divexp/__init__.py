@@ -54,7 +54,6 @@ from .propagator import (
     EvolutionResult,
     SeriesTerm,
     TruncatedPropagator,
-    derivative_coefficients,
     evolve,
     oracle_eigensolve,
     series_term,

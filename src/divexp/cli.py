@@ -23,6 +23,7 @@ from .model import (
     ModelError,
     SplitHamiltonian,
     StateVector,
+    _complex_pairs,
     basis_state,
     load_model_path,
     redivide,
@@ -96,9 +97,7 @@ def cmd_propagate(args) -> int:
         doc = {
             "order_cap": int(L),
             "times": [float(t) for t in res.times],
-            "amplitudes": [
-                [[float(c.real), float(c.imag)] for c in row] for row in res.amplitudes
-            ],
+            "amplitudes": _complex_pairs(res.amplitudes),
             "tail_bounds": [float(b) for b in res.tail_bounds],
         }
         text = _json_text(doc)
@@ -165,9 +164,7 @@ def cmd_decompose(args) -> int:
                 "label": p.label,
                 "time_class": p.time_class,
                 "diag_class": p.diag_class,
-                "matrix": [
-                    [[float(z.real), float(z.imag)] for z in row] for row in p.matrix
-                ],
+                "matrix": _complex_pairs(p.matrix),
             }
             for p in pieces
         ],

@@ -4,21 +4,19 @@ For a node list (x_1, ..., x_{m}) with m = l + 1 the denominators are
 
     d_i = prod_{j<i} (x_j - x_i) * prod_{k>i} (x_i - x_k),
 
-so the alternating sum  sum_i (-1)^(i-1) f(x_i) / d_i  is exactly the divided
+so the signed sum  sum_i (-1)^(i-1) f(x_i) / d_i  is exactly the divided
 difference f[x_1, ..., x_m].  For f(x) = x^K it vanishes for K < l and equals
 one at K = l; for f(x) = exp(-i x t) it is the closed time factor of the
 order-l propagator term.  ``dd_exp_batch`` evaluates the latter for arbitrary
-(possibly repeated or clustered) nodes with two kernels, chosen per row by its
-radius rho = |t| (max x - min x) / 2:
+(possibly repeated or clustered) nodes from one series, the complete
+homogeneous symmetric polynomials of the nodes centred at their midpoint
+(McCurdy, Ng & Parlett, Math. Comp. 1984; Zivcovich, Dolomites Res. Notes
+Approx. 2019).  By a row's radius rho = |t| (max x - min x) / 2:
 
-* the series in the complete homogeneous symmetric polynomials of the nodes
-  centred at their midpoint (McCurdy, Ng & Parlett, Math. Comp. 1984;
-  Zivcovich, Dolomites Res. Notes Approx. 2019), accurate relative to the
-  value whatever the gaps between the nodes up to rho = SERIES_RADIUS = 2.
-  Past the radius it runs at time t / 2^s, s = ceil(log2(rho / 2)), over
-  every sub-list, and that table of divided differences is squared s times;
-* past the radius, on nodes not clustered: the alternating sum, kept where its
-  error bound is at most ALTERNATING_RTOL = 1e-12 times the value.
+* up to rho = SERIES_RADIUS = 2 the series runs at t, accurate relative to the
+  value whatever the gaps between the nodes;
+* past it the series runs at time t / 2^s, s = ceil(log2(rho / 2)), over
+  every sub-list, and that table of divided differences is squared s times.
 
 Each value comes with an absolute error bound in the value's units.
 """
@@ -52,10 +50,6 @@ CLUSTER_RTOL = 1e-6
 #: the largest multiple of 1/2 with kappa <= 32, a loss of at most five bits
 #: beyond eps (m + K); there K <= 23.
 SERIES_RADIUS = 2.0
-
-#: bound on the alternating sum's error relative to its value, above which a
-#: row with rho > SERIES_RADIUS takes the squared series
-ALTERNATING_RTOL = 1e-12
 
 
 class SingularNodesError(ValueError):
@@ -254,15 +248,13 @@ def dd_exp_batch(nodes: np.ndarray, t: float):
     * rho <= SERIES_RADIUS: the centred series
       f[x] = e^{-i mu t} sum_k (-i t)^{m-1+k} / (m-1+k)! h_k(x - mu), mu the
       midpoint, accurate relative to the value whatever the gaps;
-    * larger rho, not confluent: the alternating sum
-      sum_i exp(-i x_i t) / prod_{j != i} (x_i - x_j), kept where its error
-      bound is at most ALTERNATING_RTOL times the value;
-    * every other row: the centred series at t / 2^s over every sub-list,
+    * larger rho: the centred series at t / 2^s over every sub-list,
       s = ceil(log2(rho / SERIES_RADIUS)), and s squarings of that table.
 
-    The error bound is absolute, in the value's units, and includes the
-    phase error eps |x t| of the exponentials.  With m > 1 nodes at t = 0
-    every row is the divided difference of a constant: exactly 0, bound 0.
+    The confluent flag only reports the row; it picks no kernel.  The error
+    bound is absolute, in the value's units, and includes the phase error
+    eps |x t| of the exponentials.  With m > 1 nodes at t = 0 every row is
+    the divided difference of a constant: exactly 0, bound 0.
     """
     nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
     B, m = nodes.shape
@@ -291,19 +283,9 @@ def dd_exp_batch(nodes: np.ndarray, t: float):
     near = rho <= SERIES_RADIUS
     if np.any(near):
         values[near], errs[near] = _series(nodes[near], t)
-    squared = ~near & clustered
-    plain = ~near & ~clustered
-    if np.any(plain):
-        sub = nodes[plain]
-        d = sub[:, :, None] - sub[:, None, :]
-        d[:, range(m), range(m)] = 1.0
-        denom = d.prod(axis=2)  # signed product over j != i of (x_i - x_j)
-        vals_plain = (np.exp(-1j * sub * t) / denom).sum(axis=1)
-        est = _EPS * ((m + np.abs(sub * t)) / np.abs(denom)).sum(axis=1)
-        values[plain], errs[plain] = vals_plain, est
-        squared[plain] = est > ALTERNATING_RTOL * np.abs(vals_plain)
-    if np.any(squared):
-        values[squared], errs[squared] = _squared_series(srt[squared], t, rho[squared])
+    far = ~near
+    if np.any(far):
+        values[far], errs[far] = _squared_series(srt[far], t, rho[far])
     return values, clustered, errs
 
 

@@ -176,6 +176,11 @@ def _as_complex_matrix(obj) -> np.ndarray:
     return arr[..., 0] + 1j * arr[..., 1]
 
 
+def _complex_pairs(a: np.ndarray) -> list:
+    """Nested lists of [re, im] float pairs, the inverse of _as_complex_matrix."""
+    return np.stack([a.real, a.imag], axis=-1).tolist()
+
+
 def load_model(source) -> SplitHamiltonian:
     """Read a model file (UTF-8 JSON) into a validated SplitHamiltonian.
 
@@ -223,9 +228,7 @@ def dump_model(m: SplitHamiltonian) -> bytes:
     """Serialize back to the JSON model format (round-trips within 1e-12)."""
     doc = {
         "energies": [float(x) for x in m.energies],
-        "h1": [
-            [[float(z.real), float(z.imag)] for z in row] for row in m.perturbation
-        ],
+        "h1": _complex_pairs(m.perturbation),
     }
     if m.labels is not None:
         doc["labels"] = list(m.labels)

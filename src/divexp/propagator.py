@@ -361,7 +361,7 @@ def evolve(m: RedividedHamiltonian, psi0: StateVector, times, L: int) -> Evoluti
 
 
 # ---------------------------------------------------------------------------
-# exact reference and derivative coefficients
+# exact reference
 # ---------------------------------------------------------------------------
 
 
@@ -382,28 +382,3 @@ def oracle_eigensolve(
         raise EigensolveError(f"propagator unitarity drift {drift:.3e}")
     return U
 
-
-def derivative_coefficients(m: RedividedHamiltonian, l: int, K: int) -> np.ndarray:
-    """Coefficient matrix B_l(K): the part of (H0' + g)^K with exactly l coupling factors.
-
-    Equals the tuple sum of power coefficients C_l^K times coupling products;
-    here accumulated by splitting each length-K operator word on its last
-    factor.  Zero whenever l > K.
-    """
-    if l < 1 or K < 0:
-        raise ValueError("need l >= 1 and K >= 0")
-    dim = m.dim
-    if l > K:
-        return np.zeros((dim, dim), dtype=complex)
-    e = m.shifted_energies
-    g = m.offdiagonal
-    # rows[j] = B_j(k) as k advances from 0 to K
-    rows = [np.eye(dim, dtype=complex)] + [
-        np.zeros((dim, dim), dtype=complex) for _ in range(l)
-    ]
-    for _ in range(K):
-        new = [rows[0] * e[None, :]]
-        for j in range(1, l + 1):
-            new.append(rows[j] * e[None, :] + rows[j - 1] @ g)
-        rows = new
-    return rows[l]

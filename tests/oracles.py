@@ -4,7 +4,8 @@ Each function computes something divexp also computes, by another method:
 power-sum coefficients by their recurrence, the operator-binomial tail by
 enumeration, second-order amplitudes in closed form, series terms by
 integrating the interaction-picture recurrence and by one dense block
-exponential, and divided differences and tuple sums in mpmath at 40-60
+exponential, their time derivatives at t = 0 from the operator words of
+(H0' + g)^K, and divided differences and tuple sums in mpmath at 40-60
 digits.  None calls divexp code; from divexp they take only data
 types and error classes, so a change to the engine cannot move them.
 """
@@ -263,3 +264,29 @@ def mp_distinct_tuple_sum(energies, coupling, l: int, t: float) -> np.ndarray:
                 total += w * dd[tuple(sorted(path))]
             out[a, b] = complex(total)
         return out
+
+
+def derivative_coefficients(m: RedividedHamiltonian, l: int, K: int) -> np.ndarray:
+    """Coefficient matrix B_l(K): the part of (H0' + g)^K with exactly l coupling factors.
+
+    Equals the tuple sum of power coefficients C_l^K times coupling products;
+    here accumulated by splitting each length-K operator word on its last
+    factor.  Zero whenever l > K.
+    """
+    if l < 1 or K < 0:
+        raise ValueError("need l >= 1 and K >= 0")
+    dim = m.dim
+    if l > K:
+        return np.zeros((dim, dim), dtype=complex)
+    e = m.shifted_energies
+    g = m.offdiagonal
+    # rows[j] = B_j(k) as k advances from 0 to K
+    rows = [np.eye(dim, dtype=complex)] + [
+        np.zeros((dim, dim), dtype=complex) for _ in range(l)
+    ]
+    for _ in range(K):
+        new = [rows[0] * e[None, :]]
+        for j in range(1, l + 1):
+            new.append(rows[j] * e[None, :] + rows[j - 1] @ g)
+        rows = new
+    return rows[l]

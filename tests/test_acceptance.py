@@ -16,7 +16,6 @@ from divexp import (
     SplitHamiltonian,
     TwoStateExact,
     c_closed,
-    derivative_coefficients,
     enumerate_patterns,
     exact_transition,
     extract_secular_coefficients,
@@ -34,7 +33,12 @@ from divexp import (
 )
 from divexp.cli import main as cli_main
 from divexp.propagator import coupling_strength, series_order_matrix
-from oracles import binomial_expansion_tail, oracle_block_order, oracle_dyson_order
+from oracles import (
+    binomial_expansion_tail,
+    derivative_coefficients,
+    oracle_block_order,
+    oracle_dyson_order,
+)
 from test_propagator import richardson_derivative
 
 

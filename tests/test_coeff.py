@@ -13,11 +13,11 @@ from divexp import (
     dd_exp,
     denominators,
 )
-from divexp.coeff import _EPS, CLUSTER_RTOL, SERIES_RADIUS, dd_exp_batch
+from divexp.coeff import _EPS, CLUSTER_RTOL, SERIES_RADIUS, _squared_series, dd_exp_batch
 from oracles import binomial_expansion_tail, c_recurrence, mp_dd_exp
 
-#: relative accuracy stated for rows past SERIES_RADIUS, where the alternating
-#: sum is kept only while its error bound is below ALTERNATING_RTOL = 1e-12
+#: relative accuracy stated for rows past SERIES_RADIUS, which take the
+#: centred series at t / 2^s and s squarings of its table of sub-lists
 FAR_RTOL = 1e-12
 
 
@@ -177,8 +177,8 @@ def test_dd_exp_confluent_consistency(rng):
 
 @pytest.mark.parametrize("m", [1, 2, 3, 5])
 def test_dd_exp_batch_at_time_zero(rng, m):
-    # plain rows, clustered rows (gap 1e-9) and rows rerouted by their error
-    # estimate (gaps 1e-4: distinct, but the alternating sum would cancel)
+    # plain rows, clustered rows (gap 1e-9) and rows with gaps 1e-4: distinct,
+    # but the closed form sum_i f(x_i) / prod_{j != i} (x_i - x_j) would cancel
     plain = rng.uniform(-2.0, 2.0, size=(6, m))
     clustered = plain[:, :1] + 1e-9 * np.arange(m)
     rerouted = plain[:, :1] + 1e-4 * np.arange(m)
@@ -195,7 +195,7 @@ def test_dd_exp_batch_at_time_zero(rng, m):
     if m > 1:
         vals, flags, errs = dd_exp_batch(nodes, 25.0)
         assert np.array_equal(flags, kind == 1)
-        # the alternating sum's estimate exceeds 1e-12 on the rerouted rows;
+        # the closed form's rounding estimate exceeds 1e-12 on the 1e-4 rows;
         # they lie within SERIES_RADIUS at t = 25 and take the series, which
         # holds them to the stated tolerance and to their own error bound
         diff = rerouted[:, :, None] - rerouted[:, None, :] + np.eye(m)
@@ -250,9 +250,9 @@ def _node_sets(rng, m):
 
 @settings(max_examples=20, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=2, max_value=8))
-# past SERIES_RADIUS on three rows: at t = 34.3 the spread-out rows take the
-# alternating sum and the repeat the squared series; at t = 21.0 the
-# 1e-9..1e-3 pair is rerouted to the squared series as well
+# past SERIES_RADIUS on three rows each, spread out, with a 1e-9..1e-3 pair
+# and with a repeat, which all take the squared series: three nodes at
+# t = 34.3 and seven at t = 21.0
 @example(14, 3)
 @example(0, 7)
 def test_dd_exp_batch_matches_mpmath(seed, m):
@@ -280,6 +280,33 @@ def test_dd_exp_batch_far_rows_within_their_bounds(seed, m):
     nodes = _node_sets(rng, m)
     t = float(10 ** rng.uniform(math.log10(50.0), 3.0)) * rng.choice([-1.0, 1.0])
     vals, _, errs = dd_exp_batch(nodes, t)
+    for x, v, e in zip(nodes, vals, errs):
+        assert abs(v - mp_dd_exp(x, t)) <= e, (x.tolist(), t)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=2, max_value=8))
+# three nodes at t = 67.5: rows a closed form over the denominators holds
+# to 1e-12 of the value
+@example(1, 3)
+def test_spread_rows_past_the_radius_take_the_squared_series(seed, m):
+    # distinct nodes at least 0.05 apart with rho in (2, 1e3], where a closed
+    # form over the denominators would not cancel: one route past the radius
+    # all the same, and each row within its bound
+    rng = np.random.default_rng(seed)
+    t = float(10 ** rng.uniform(math.log10(4.0), 3.0)) * rng.choice([-1.0, 1.0])
+    rows = []
+    while len(rows) < 6:
+        x = random_nodes(rng, m - 1)
+        if abs(t) * np.ptp(x) / 2 > SERIES_RADIUS:
+            rows.append(x)
+    nodes = np.array(rows)
+    srt = np.sort(nodes, axis=1)
+    rho = abs(t) * (srt[:, -1] - srt[:, 0]) / 2
+    vals, flags, errs = dd_exp_batch(nodes, t)
+    want_vals, want_errs = _squared_series(srt, t, rho)
+    assert not np.any(flags)
+    assert np.array_equal(vals, want_vals) and np.array_equal(errs, want_errs)
     for x, v, e in zip(nodes, vals, errs):
         assert abs(v - mp_dd_exp(x, t)) <= e, (x.tolist(), t)
 

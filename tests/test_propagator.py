@@ -16,7 +16,6 @@ from divexp import (
     SplitHamiltonian,
     TwoStateExact,
     basis_state,
-    derivative_coefficients,
     evolve,
     exact_transition,
     oracle_eigensolve,
@@ -32,7 +31,7 @@ from divexp.propagator import (
     coupling_strength,
     series_order_matrix,
 )
-from oracles import oracle_block_order, oracle_dyson_order
+from oracles import derivative_coefficients, oracle_block_order, oracle_dyson_order
 
 
 def richardson_derivative(f, K, h0=0.05, levels=3):

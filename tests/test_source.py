@@ -61,7 +61,6 @@ ENTRY_POINT_PARAMETERS = {
     "propagator.auto_order": ("m", "t_max", "tol"),
     "propagator.evolve": ("m", "psi0", "times", "L"),
     "propagator.oracle_eigensolve": ("m", "t"),
-    "propagator.derivative_coefficients": ("m", "l", "K"),
     "contraction.enumerate_patterns": ("l",),
     "contraction.pattern_piece_matrix": ("energies", "coupling", "pattern", "t"),
     "contraction.second_order_pieces": ("m", "t"),
