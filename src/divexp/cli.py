@@ -13,6 +13,7 @@ import functools
 import json
 import sys
 import time
+from itertools import chain
 
 import numpy as np
 
@@ -48,7 +49,7 @@ def _csv_text(header, rows):
             else "%.17g"
             for x in rows[0]
         )
-        lines += [fmt % tuple(row) for row in rows]
+        lines.append("\n".join([fmt] * len(rows)) % tuple(chain(*rows)))
     return "\n".join(lines) + "\n"
 
 
@@ -86,13 +87,19 @@ def cmd_propagate(args) -> int:
     if L is None:
         L = propagator.auto_order(m, float(np.max(np.abs(times))), args.tol)
     res = propagator.evolve(m, psi0, times, L)
-    rows = []
-    for k, t in enumerate(res.times):
-        for g in range(m.dim):
-            c = res.amplitudes[k, g]
-            rows.append((t, g, c.real, c.imag, abs(c) ** 2, res.tail_bounds[k]))
     if args.format == "csv":
-        text = _csv_text(["t", "gamma", "re_c", "im_c", "prob", "tail_bound"], rows)
+        amps = res.amplitudes.ravel()
+        columns = (
+            np.repeat(res.times, m.dim).tolist(),
+            np.tile(np.arange(m.dim), res.times.size).tolist(),
+            amps.real.tolist(),
+            amps.imag.tolist(),
+            # Python's abs: np.abs differs from it in the last bit
+            [abs(c) ** 2 for c in amps.tolist()],
+            np.repeat(res.tail_bounds, m.dim).tolist(),
+        )
+        header = ["t", "gamma", "re_c", "im_c", "prob", "tail_bound"]
+        text = _csv_text(header, list(zip(*columns)))
     else:
         doc = {
             "order_cap": int(L),

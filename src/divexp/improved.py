@@ -337,17 +337,16 @@ def revised_golden_rule(
     gb2 = np.abs(m.offdiagonal[from_level, others]) ** 2
     coupling_sq = float(gb2.mean()) if others else 0.0
     w1 = e[others] - e_beta  # ladder frequencies relative to the initial level
-    # the integrand at omega -> 0, where the shift has slope -sum gb2 / w1^2
-    c1 = 1.0 - float((gb2 / w1**2).sum())
-    limit = coupling_sq * T * (c1**2 - 1.0)
 
     def integrand(om):
-        shift = (gb2 * (1.0 / (om[:, None] - w1) + 1.0 / w1)).sum(axis=-1)
+        # 2 (cos(om T) - cos((om + shift) T)) / (T om^2) as a product of
+        # sincs, with q = shift / om regular at om = 0; np.sinc(x) is
+        # sin(pi x) / (pi x)
+        q = (gb2 / (w1 * (om[:, None] - w1))).sum(axis=-1)
         rho_here = np.nan_to_num(density(om + e_beta), nan=0.0)
-        cosdiff = np.cos(om * T) - np.cos((om + shift) * T)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = 2.0 * rho_here * coupling_sq * cosdiff / (T * om**2)
-        return np.where(np.abs(om) < 1e-9, rho_here * limit, out)
+        x = om * T / (2.0 * np.pi)
+        sincs = np.sinc((2.0 + q) * x) * np.sinc(q * x)
+        return rho_here * coupling_sq * T * (2.0 + q) * q * sincs
 
     rate_usual = 2.0 * math.pi * float(density(e_beta)) * coupling_sq
     rate_delta = float(

@@ -1,22 +1,23 @@
 """Series terms of the propagator, truncation, evolution, and the eigensolve.
 
 The order-l term T_l of <g| exp(-i H t) |g'> is the eps^l coefficient of
-exp(-i t (E' + eps g)).  That is block l of the top block row of exp(t A),
-for the block-bidiagonal generator A = -i (I (x) diag(E') + S (x) g) of
-orders 0..L.  A is block upper-triangular Toeplitz, so exp(t A) is fixed by
-its top block row E_0..E_L, and that row lives in an algebra of L + 1 blocks
-of D x D whose product is the cut-off convolution
-(PQ)_k = sum_{i+j=k} P_i Q_j (Van Loan, IEEE TAC 1978; Najfeld & Havel,
-Adv. Appl. Math. 1995).  series_order_matrix takes T_l from _algebra_top_row,
-which exponentiates in that algebra: a Taylor polynomial at t A / 2^s and s
-squarings, with a degree and a scaling fixed by a stated truncation bound
-and no matrix of side (L+1) D.  truncated_propagator and evolve take the
-dense exponential of the block generator instead (scipy.linalg.expm on side
-(L+1) D).  All three refuse (L+1) D above MAX_BLOCK_SIDE = 2048 with
-BudgetExceededError: evolve at any L, and truncated_propagator unless
-L == 0 or the coupling is zero.  The generator does not depend on t, so one
-exponential exp(h A) steps evolve's state across an evenly spaced time grid,
-and each time off that grid costs one more exponential.
+exp(-i t (E' + eps g)).  With S the shift on orders 0..L, that is block
+(0, l), in orders, of exp(t A) for the generator
+A = -i (diag(E') (x) I + g (x) S).  In orders A is block upper-triangular
+Toeplitz, so exp(t A) is fixed by its top block row E_0..E_L, and that row
+lives in an algebra of L + 1 blocks of D x D whose product is the cut-off
+convolution (PQ)_k = sum_{i+j=k} P_i Q_j (Van Loan, IEEE TAC 1978; Najfeld &
+Havel, Adv. Appl. Math. 1995).  series_order_matrix takes T_l from
+_algebra_top_row, which exponentiates in that algebra: a Taylor polynomial
+at t A / 2^s and s squarings, with a degree and a scaling fixed by a stated
+truncation bound and no matrix of side (L+1) D.  truncated_propagator and
+evolve take the dense exponential of A instead (scipy.linalg.expm on side
+(L+1) D, laid out level by level), whose row _block_top_row returns in the
+same (L+1, D, D) shape.  All three refuse (L+1) D above MAX_BLOCK_SIDE =
+2048 with BudgetExceededError: evolve at any L, and truncated_propagator
+unless L == 0 or the coupling is zero.  The generator does not depend on t,
+so one exponential exp(h A) steps evolve's state across an evenly spaced
+time grid, and each time off that grid costs one more exponential.
 
 The same term is a sum over index tuples (g_1 .. g_{l+1}) of the exponential
 divided difference over the tuple's energies times the product of coupling
@@ -157,29 +158,26 @@ def _block_side(dim, L):
 
 
 def _generator(energies, coupling, L):
-    """Block-bidiagonal generator A = -i (I ⊗ diag(E) + S ⊗ g) of orders 0..L.
+    """Generator A = -i (diag(E) ⊗ I + g ⊗ S) of orders 0..L, S the shift.
 
-    Block (i, i + j) of exp(t A) is the order-j term at time t.
+    Index a (L+1) + j holds level a at order j.  Level by level, because
+    block by block A is upper triangular, and there scipy's expm recomputes
+    the superdiagonal by a difference quotient of exp that cancels between
+    close levels.
     """
-    dim = energies.size
-    side = _block_side(dim, L)
-    A = np.zeros((side, side), dtype=complex)
-    h0 = -1j * np.diag(energies.astype(complex))
-    v = -1j * coupling
-    for j in range(L + 1):
-        A[j * dim : (j + 1) * dim, j * dim : (j + 1) * dim] = h0
-        if j < L:
-            A[j * dim : (j + 1) * dim, (j + 1) * dim : (j + 2) * dim] = v
+    side = _block_side(energies.size, L)
+    A = np.kron(-1j * coupling, np.eye(L + 1, k=1))
+    A.flat[:: side + 1] = np.repeat(-1j * energies, L + 1)
     return A
 
 
 def _block_top_row(energies, coupling, L, t):
-    """Top block row of the stacked bidiagonal exponential: orders 0..L."""
+    """Top block row E_0..E_L of exp(t A), as an (L+1, D, D) array."""
     dim = energies.size
     M = _generator(energies, coupling, L)
     M *= t  # in place: no second block-sized array
     E = scipy.linalg.expm(M)
-    return [E[0:dim, j * dim : (j + 1) * dim] for j in range(L + 1)]
+    return E[:: L + 1].reshape(dim, dim, L + 1).transpose(2, 0, 1)
 
 
 def _algebra_top_row(energies, coupling, L, t):
@@ -322,12 +320,12 @@ def auto_order(m: RedividedHamiltonian, t_max: float, tol: float) -> int:
 def evolve(m: RedividedHamiltonian, psi0: StateVector, times, L: int) -> EvolutionResult:
     """Amplitudes of the truncated evolution at each requested time.
 
-    The amplitude at t is the top block of exp(t A) w, with A the generator
-    of orders 0..L and w = (psi0, .., psi0).  One exponential of h A, h the
-    mean spacing of times, walks exp(t_0 A) w across the points
-    s_k = t_0 + k h; a time t_k other than s_k takes one more exponential of
-    (t_k - s_k) A.  On an np.linspace grid that is at most the last point,
-    off by an ulp.
+    The amplitude of level a at t is entry a (L+1) of exp(t A) w, with A
+    the generator of orders 0..L and w psi0 at every order of each level.
+    One exponential of h A, h the mean spacing of times, walks exp(t_0 A) w
+    across the points s_k = t_0 + k h; a time t_k other than s_k takes one
+    more exponential of (t_k - s_k) A.  On an np.linspace grid that is at
+    most the last point, off by an ulp.
     """
     times = np.asarray(times, dtype=float).reshape(-1)
     if times.size < 1 or not np.all(np.isfinite(times)):
@@ -337,7 +335,7 @@ def evolve(m: RedividedHamiltonian, psi0: StateVector, times, L: int) -> Evoluti
     if L < 0:
         raise ValueError("order cap must be >= 0")
     A = _generator(m.shifted_energies, m.offdiagonal, L)
-    w = np.tile(psi0.amplitudes, L + 1)
+    w = np.repeat(psi0.amplitudes, L + 1)
 
     def advance(v, dt):
         return v if dt == 0 else scipy.linalg.expm(dt * A) @ v
@@ -351,7 +349,7 @@ def evolve(m: RedividedHamiltonian, psi0: StateVector, times, L: int) -> Evoluti
         if k and h:
             v = step @ v
         # exp(0 A) = I: a t = 0 row is psi0 exactly wherever it sits
-        amps[k] = (w if t == 0 else advance(v, t - (t0 + k * h)))[: m.dim]
+        amps[k] = (w if t == 0 else advance(v, t - (t0 + k * h)))[:: L + 1]
     g = coupling_strength(m)
     tails = np.array([_tail_bound(g * abs(t), L) for t in times])
     drift = np.abs(np.linalg.norm(amps, axis=1) - 1.0)

@@ -5,9 +5,10 @@ power-sum coefficients by their recurrence, the operator-binomial tail by
 enumeration, second-order amplitudes in closed form, series terms by
 integrating the interaction-picture recurrence and by one dense block
 exponential, their time derivatives at t = 0 from the operator words of
-(H0' + g)^K, and divided differences and tuple sums in mpmath at 40-60
-digits.  None calls divexp code; from divexp they take only data
-types and error classes, so a change to the engine cannot move them.
+(H0' + g)^K, and divided differences, tuple sums and the propagator in
+mpmath at 40-60 digits.  None calls divexp code; from divexp they take
+only data types and error classes, so a change to the engine cannot move
+them.
 """
 
 from __future__ import annotations
@@ -231,6 +232,14 @@ def mp_dd_exp(nodes, t: float) -> complex:
             if i + 1 < m:
                 A[i, i + 1] = -1j * tt
         return complex(mpmath.expm(A)[0, m - 1])
+
+
+def mp_propagator(H: np.ndarray, t: float) -> np.ndarray:
+    """exp(-i t H) for a dense Hermitian H, by mpmath's expm at 40 digits."""
+    with mpmath.workdps(40):
+        tt = mpmath.mpf(float(t))
+        A = mpmath.matrix([[-1j * tt * mpmath.mpc(complex(z)) for z in row] for row in H])
+        return np.array(mpmath.expm(A).tolist(), dtype=complex)
 
 
 def mp_distinct_tuple_sum(energies, coupling, l: int, t: float) -> np.ndarray:

@@ -4,11 +4,13 @@ import os
 import pathlib
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from divexp import (
+    SplitHamiltonian,
     TwoStateExact,
     basis_state,
     c_closed,
@@ -22,6 +24,8 @@ from divexp import (
     redivide,
 )
 from divexp.cli import _csv_text, main
+from divexp.propagator import EvolutionResult
+from oracles import mp_propagator
 
 
 @pytest.fixture
@@ -496,3 +500,84 @@ def test_no_evaluation_knobs(capsys):
     src = pathlib.Path(propagator.__file__).parent
     for path in src.glob("*.py"):
         assert "environ" not in path.read_text(), path.name
+
+
+def test_propagate_one_time_close_first_and_last_levels(tmp_path, capsys):
+    # levels 0 and 1e-10 first and last: the amplitudes hold within the
+    # tail bound they are printed with, against a 40-digit propagator
+    rng = np.random.default_rng(0)
+    h = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    h = (h + h.conj().T) / 2.0
+    np.fill_diagonal(h, 0.0)
+    t = 2.0
+    h *= 1.5 / (t * np.linalg.norm(h, 2))  # x = ||g|| t = 1.5
+    path = tmp_path / "close.json"
+    path.write_bytes(dump_model(SplitHamiltonian([0.0, 1.3, 2.1, 1e-10], h)))
+    argv = ["propagate", "--model", str(path), "--t-start", "2", "--t-stop", "2",
+            "--t-count", "1"]
+    assert run_cli(argv) == 0
+    lines = capsys.readouterr().out.splitlines()[1:]
+    cells = np.array([[float(x) for x in line.split(",")] for line in lines])
+    assert cells.shape == (4, 6) and np.all(cells[:, 0] == t)
+    want = mp_propagator(redivide(load_model_path(path)).total(), t)[:, 0]
+    err = np.linalg.norm(cells[:, 2] + 1j * cells[:, 3] - want)
+    assert err <= cells[0, 5] + 1e-14
+
+
+def _rowwise_csv(header, rows):
+    # the reference text: one format applied row by row
+    fmt = ",".join(
+        "%s" if isinstance(x, str)
+        else "%d" if isinstance(x, (int, np.integer))
+        else "%.17g"
+        for x in rows[0]
+    )
+    return "\n".join([",".join(header)] + [fmt % tuple(row) for row in rows]) + "\n"
+
+
+def test_propagate_csv_from_columns_matches_the_rowwise_text(
+    model_path, monkeypatch, capsys
+):
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        n, dim = int(rng.integers(1, 40)), int(rng.integers(1, 9))
+        scale = 10.0 ** rng.uniform(-20.0, 3.0, size=(n, dim))
+        amps = (rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))) * scale
+        amps[rng.uniform(size=(n, dim)) < 0.1] = -0.0
+        res = EvolutionResult(
+            times=np.sort(rng.uniform(-5.0, 5.0, size=n)), amplitudes=amps,
+            order_cap=3, tail_bounds=10.0 ** rng.uniform(-300.0, 3.0, size=n),
+            norm_drift=np.zeros(n),
+        )
+        monkeypatch.setattr(propagator, "evolve", lambda *args, res=res: res)
+        monkeypatch.setattr(cli, "_load", lambda args, dim=dim: SimpleNamespace(dim=dim))
+        assert run_cli(["propagate", "--model", model_path, "--order", "3"]) == 0
+        rows = [
+            (t, g, c.real, c.imag, abs(c) ** 2, res.tail_bounds[k])
+            for k, t in enumerate(res.times)
+            for g, c in enumerate(res.amplitudes[k])
+        ]
+        header = ["t", "gamma", "re_c", "im_c", "prob", "tail_bound"]
+        assert capsys.readouterr().out == _rowwise_csv(header, rows)
+
+
+def test_transition_energy_and_bench_tables_match_the_rowwise_text(
+    model_path, monkeypatch, capsys
+):
+    tables = []
+
+    def recording_csv_text(header, rows):
+        text = _csv_text(header, rows)
+        tables.append(text == _rowwise_csv(header, rows))
+        return text
+
+    monkeypatch.setattr(cli, "_csv_text", recording_csv_text)
+    for argv in (
+        ["transition", "--model", model_path, "--from", "0", "--to", "1",
+         "--t-count", "7"],
+        ["energy", "--model", model_path, "--level", "0"],
+        ["bench", "--dims", "3,4", "--orders", "1,2"],
+    ):
+        assert run_cli(argv) == 0
+    capsys.readouterr()
+    assert tables == [True, True, True]

@@ -464,3 +464,35 @@ def test_divergent_series_raises_instead_of_returning_nan():
         improved_state_coefficients(m, 0, 200)
     with pytest.raises(ValueError, match=r"order-\d+ Rayleigh-Schroedinger term"):
         improved_kernel(e, g, e, 200, 0.5)
+
+
+def test_golden_rule_integrand_near_zero_frequency(monkeypatch):
+    # 2 rho |g|^2 (cos(w T) - cos((w + shift) T)) / (T w^2), with the shift
+    # sum gb2 (1 / (w - w1) + 1 / w1) through second order, at 50 digits;
+    # written as that difference it cancels to nothing at w = 2e-9
+    import mpmath
+    from scipy.interpolate import PchipInterpolator
+
+    captured = []
+    monkeypatch.setattr(
+        improved, "_trapezoid_refine", lambda f, lo, hi: captured.append(f) or 0.0
+    )
+    m, T = toy_golden_model(), 6.0
+    w, rho = toy_density()
+    revised_golden_rule(m, 0, (w, rho), T=T)
+    oms = np.array([2e-9, 1e-7, 1e-5, 1e-3])
+    got = captured[0](oms)
+    gb2 = np.abs(m.offdiagonal[0, 1:]) ** 2
+    w1 = m.shifted_energies[1:] - m.shifted_energies[0]
+    dens = PchipInterpolator(w, rho)(oms + m.shifted_energies[0])
+    with mpmath.workdps(50):
+        cs = mpmath.fsum(map(mpmath.mpf, gb2)) / len(gb2)
+        for om, rho_here, value in zip(oms, dens, got):
+            o = mpmath.mpf(om)
+            shift = mpmath.fsum(
+                mpmath.mpf(g) * (1 / (o - mpmath.mpf(x)) + 1 / mpmath.mpf(x))
+                for g, x in zip(gb2, w1)
+            )
+            cosdiff = mpmath.cos(o * T) - mpmath.cos((o + shift) * T)
+            want = 2 * mpmath.mpf(rho_here) * cs * cosdiff / (T * o**2)
+            assert abs((value - want) / want) < 1e-13, om

@@ -31,7 +31,12 @@ from divexp.propagator import (
     coupling_strength,
     series_order_matrix,
 )
-from oracles import derivative_coefficients, oracle_block_order, oracle_dyson_order
+from oracles import (
+    derivative_coefficients,
+    mp_propagator,
+    oracle_block_order,
+    oracle_dyson_order,
+)
 
 
 def richardson_derivative(f, K, h0=0.05, levels=3):
@@ -503,3 +508,48 @@ def test_auto_order_cap():
     assert truncated_propagator(m, 3, 1000.0 / g).tail_bound == np.inf
     with pytest.raises(ValueError, match=f"order {MAX_AUTO_ORDER} is inf$"):
         auto_order(m, 1000.0 / g, tol)
+
+
+def close_pair_model(rng):
+    """A model whose first and last levels are 1e-12 to 1e-9 apart, and a t.
+
+    D is one of 2, 3, 4, 6, the other levels lie on [0, 3], the coupling is
+    random Hermitian with ||g||_max = 0.3, and t lies on [2, 3].
+    """
+    dim = int(rng.choice([2, 3, 4, 6]))
+    levels = rng.uniform(0.0, 3.0, size=dim)
+    levels[-1] = levels[0] + 10.0 ** rng.uniform(-12.0, -9.0)
+    h = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    h = (h + h.conj().T) / 2.0
+    np.fill_diagonal(h, 0.0)
+    h *= 0.3 / np.max(np.abs(h))
+    m = redivide(SplitHamiltonian(energies=levels, perturbation=h))
+    return m, float(rng.uniform(2.0, 3.0))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_close_first_and_last_levels_stay_within_the_tail_bound(seed):
+    # laid out block by block, the generator is triangular, and scipy's
+    # triangular squaring takes a cancelling difference quotient of exp
+    # between the last level of one order and the first of the next
+    rng = np.random.default_rng(seed)
+    for _ in range(5):
+        m, t = close_pair_model(rng)
+        want = mp_propagator(m.total(), t)
+        P = truncated_propagator(m, 14, t)
+        slack = P.tail_bound + 1e-14
+        assert np.linalg.norm(P.matrix - want, 2) <= slack, (m.dim, t)
+        for level in (0, m.dim - 1):
+            amps = evolve(m, basis_state(m.dim, level), [t], 14).amplitudes[0]
+            assert np.linalg.norm(amps - want[:, level]) <= slack, (m.dim, t, level)
+
+
+def test_dense_top_row_has_the_algebra_shape(rng):
+    # both engines return E_0..E_L as one (L+1, D, D) array
+    m = redivide(random_offdiag_model(rng, 5, min_gap=0.05))
+    e, g = m.shifted_energies, m.offdiagonal
+    dense = propagator._block_top_row(e, g, 6, 1.7)
+    algebra = propagator._algebra_top_row(e, g, 6, 1.7)
+    assert dense.shape == algebra.shape == (7, 5, 5)
+    for k in range(7):
+        assert np.linalg.norm(dense[k] - algebra[k]) <= 1e-13 * np.linalg.norm(dense[k])
