@@ -13,8 +13,8 @@ homogeneous symmetric polynomials of the nodes centred at their midpoint
 (McCurdy, Ng & Parlett, Math. Comp. 1984; Zivcovich, Dolomites Res. Notes
 Approx. 2019).  By a row's radius rho = |t| (max x - min x) / 2:
 
-* up to rho = SERIES_RADIUS = 2 the series runs at t, accurate relative to the
-  value whatever the gaps between the nodes;
+* up to rho = SERIES_RADIUS = 2 the series runs at t through SERIES_TERMS = 24
+  terms, accurate relative to the value whatever the gaps between the nodes;
 * past it the series runs at time t / 2^s, s = ceil(log2(rho / 2)), over
   every sub-list, and that table of divided differences is squared s times.
 
@@ -48,8 +48,14 @@ CLUSTER_RTOL = 1e-6
 #: with kappa(rho) = rho e^rho / (sin(rho) cos(rho / 2)), which is 1 at
 #: rho = 0, 9 at 1.5, 30 at 2, 161 at 2.5 and infinite at pi.  The radius is
 #: the largest multiple of 1/2 with kappa <= 32, a loss of at most five bits
-#: beyond eps (m + K); there K <= 23.
+#: beyond eps (m + K).
 SERIES_RADIUS = 2.0
+
+#: Terms K of S past k = 0 that every row sums: the least K with
+#: rho^K / K! < eps at rho = SERIES_RADIUS.  The terms left out sum to at
+#: most rho^(K+1) / (K+1)! (K+2) / (K+2-rho) = 2.3e-18 = 0.011 eps there,
+#: which the error bound covers with one more eps e^rho.
+SERIES_TERMS = 24
 
 
 class SingularNodesError(ValueError):
@@ -164,37 +170,28 @@ def _series(nodes: np.ndarray, t):
     / (m-1)! S, S = sum_k (-i)^k h_k(u) (m-1)! / (m-1+k)!.  h_k is the
     complete homogeneous symmetric polynomial of degree k; its prefix values
     h_k(u_0..u_j) are the running sum over j of u_j h_{k-1}(u_0..u_j), so
-    each term is one product and m - 1 additions over the whole batch.  The
-    sum stops at the first K with r^K / K! < eps, r the largest |u|, since
-    the k-th term is at most r^k / k!; tail bounds the terms left out.
+    each term is one product and m - 1 additions over the whole batch, added
+    to S in the same pass.  Every row sums k = 0..SERIES_TERMS, so its value
+    and bound depend on its own nodes and time alone, not on its batch.
     """
     m = nodes.shape[1]
     xt = np.ascontiguousarray(nodes.T)  # one column per row: fast reductions
     lo, hi = xt.min(axis=0), xt.max(axis=0)
     mu = (lo + hi) / 2.0
     u = t * (xt - mu)
-    r = float(np.abs(u).max())
-    bounds = [1.0]  # r^k / k!
-    while bounds[-1] >= _EPS:
-        bounds.append(bounds[-1] * r / len(bounds))
-    K = len(bounds) - 1
     h = np.ones(u.shape)
-    last = np.empty((K + 1, u.shape[1]))  # h_k(u), k = 0..K
-    last[0] = 1.0
-    for k in range(1, K + 1):
+    S = np.ones(u.shape[1], dtype=complex)
+    c = 1.0  # (m-1)! / (m-1+k)!
+    for k in range(1, SERIES_TERMS + 1):
         np.multiply(u, h, out=h)
         for j in range(1, m):
             h[j] += h[j - 1]
-        last[k] = h[-1]
-    k = np.arange(K + 1)
-    # (-i)^k (m-1)! / (m-1+k)!, with (-i)^k = 1, -i, -1, i for k = 0..3 mod 4
-    ratio = np.cumprod(np.r_[1.0, 1.0 / (m - 1 + k[1:])])
-    coef = ratio * np.array([1, -1j, -1, 1j])[k % 4]
-    tail = bounds[-1] / (1.0 - r / (K + 1))
+        c /= m - 1 + k
+        S += (c * (1, -1j, -1, 1j)[k % 4]) * h[-1]  # (-i)^k
     pref = (-1j * t) ** (m - 1) / math.factorial(m - 1)
     rho = np.abs(t) * (hi - lo) / 2.0
-    err = np.abs(pref) * (_EPS * ((m + K) * np.exp(rho) + np.abs(mu * t)) + tail)
-    return np.exp(-1j * mu * t) * pref * (coef @ last), err
+    err = np.abs(pref) * _EPS * ((m + SERIES_TERMS + 1) * np.exp(rho) + np.abs(mu * t))
+    return np.exp(-1j * mu * t) * pref * S, err
 
 
 def _squared_series(srt: np.ndarray, t: float, rho: np.ndarray):
@@ -247,11 +244,13 @@ def dd_exp_batch(nodes: np.ndarray, t: float):
 
     * rho <= SERIES_RADIUS: the centred series
       f[x] = e^{-i mu t} sum_k (-i t)^{m-1+k} / (m-1+k)! h_k(x - mu), mu the
-      midpoint, accurate relative to the value whatever the gaps;
+      midpoint, k = 0..SERIES_TERMS, accurate relative to the value whatever
+      the gaps;
     * larger rho: the centred series at t / 2^s over every sub-list,
       s = ceil(log2(rho / SERIES_RADIUS)), and s squarings of that table.
 
-    The confluent flag only reports the row; it picks no kernel.  The error
+    Each row's value and bound depend on its own nodes and t alone.  The
+    confluent flag only reports the row; it picks no kernel.  The error
     bound is absolute, in the value's units, and includes the phase error
     eps |x t| of the exponentials.  With m > 1 nodes at t = 0 every row is
     the divided difference of a constant: exactly 0, bound 0.

@@ -243,9 +243,11 @@ def improved_transition(
 
     p_improved replaces the oscillation frequency by the revision-shifted one
     (the order-1 solution's depth, G^(2..SCHEME_ORDER + 1)) while keeping
-    the unshifted amplitude prefactor; delta is evaluated through the
-    cosine-difference identity and equals p_improved - p_usual to machine
-    precision.
+    the unshifted amplitude prefactor.  delta = p_improved - p_usual is
+    evaluated as the product 4 |g|^2 sin((w + w~) t / 2) sin((w~ - w) t / 2)
+    / w^2, with w~ - w the difference of the two levels' shifts, so it stays
+    accurate relative to itself where the shift is tiny and the difference
+    of the two probabilities cancels.
     """
     dim = m.dim
     if not (0 <= from_level < dim and 0 <= to_level < dim):
@@ -257,10 +259,14 @@ def improved_transition(
     e = m.shifted_energies
     omega = e[to_level] - e[from_level]
     omega_t = omega + shift[to_level] - shift[from_level]
+    dshift = shift[to_level] - shift[from_level]  # omega_t - omega, uncancelled
     amp = abs(m.offdiagonal[to_level, from_level]) ** 2
     p_usual = amp * np.sin(omega * times / 2.0) ** 2 / (omega / 2.0) ** 2
     p_improved = amp * np.sin(omega_t * times / 2.0) ** 2 / (omega / 2.0) ** 2
-    delta = 2.0 * amp * (np.cos(omega * times) - np.cos(omega_t * times)) / omega**2
+    delta = (
+        4.0 * amp * np.sin((omega + omega_t) * times / 2.0)
+        * np.sin(dshift * times / 2.0) / omega**2
+    )
     return TransitionReport(
         times=times, p_usual=p_usual, p_improved=p_improved, delta=delta
     )

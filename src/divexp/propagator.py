@@ -323,9 +323,9 @@ def evolve(m: RedividedHamiltonian, psi0: StateVector, times, L: int) -> Evoluti
     The amplitude of level a at t is entry a (L+1) of exp(t A) w, with A
     the generator of orders 0..L and w psi0 at every order of each level.
     One exponential of h A, h the mean spacing of times, walks exp(t_0 A) w
-    across the points s_k = t_0 + k h; a time t_k other than s_k takes one
-    more exponential of (t_k - s_k) A.  On an np.linspace grid that is at
-    most the last point, off by an ulp.
+    across the points s_k of np.linspace(t_0, t_last, n); a time t_k other
+    than s_k takes one more exponential of (t_k - s_k) A, so an
+    np.linspace grid takes none.
     """
     times = np.asarray(times, dtype=float).reshape(-1)
     if times.size < 1 or not np.all(np.isfinite(times)):
@@ -344,12 +344,13 @@ def evolve(m: RedividedHamiltonian, psi0: StateVector, times, L: int) -> Evoluti
     h = (times[-1] - t0) / (times.size - 1) if times.size > 1 else 0.0
     step = scipy.linalg.expm(h * A) if h else None
     v = advance(w, t0)
+    grid = np.linspace(t0, times[-1], times.size)
     amps = np.empty((times.size, m.dim), dtype=complex)
     for k, t in enumerate(times):
         if k and h:
             v = step @ v
         # exp(0 A) = I: a t = 0 row is psi0 exactly wherever it sits
-        amps[k] = (w if t == 0 else advance(v, t - (t0 + k * h)))[:: L + 1]
+        amps[k] = (w if t == 0 else advance(v, t - grid[k]))[:: L + 1]
     g = coupling_strength(m)
     tails = np.array([_tail_bound(g * abs(t), L) for t in times])
     drift = np.abs(np.linalg.norm(amps, axis=1) - 1.0)

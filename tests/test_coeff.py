@@ -13,7 +13,14 @@ from divexp import (
     dd_exp,
     denominators,
 )
-from divexp.coeff import _EPS, CLUSTER_RTOL, SERIES_RADIUS, _squared_series, dd_exp_batch
+from divexp.coeff import (
+    _EPS,
+    CLUSTER_RTOL,
+    SERIES_RADIUS,
+    SERIES_TERMS,
+    _squared_series,
+    dd_exp_batch,
+)
 from oracles import binomial_expansion_tail, c_recurrence, mp_dd_exp
 
 #: relative accuracy stated for rows past SERIES_RADIUS, which take the
@@ -334,6 +341,43 @@ def test_series_radius_follows_from_the_cancellation_bound(rng):
         vals, _, _ = dd_exp_batch(nodes, t)
         scaled = np.abs(vals) * math.factorial(m - 1) / t ** (m - 1)
         assert np.all(scaled >= math.sin(r) / r * math.cos(r / 2))
+
+
+def test_series_terms_leave_a_remainder_under_eps_at_the_radius():
+    # the k-th term of the centred series is at most rho^k / k!; the terms
+    # past SERIES_TERMS sum to at most rho^(K+1) / (K+1)! (K+2) / (K+2-rho),
+    # 0.011 eps at the radius, and K is the least count whose last term is
+    # below eps there
+    import mpmath
+
+    r, K = SERIES_RADIUS, SERIES_TERMS
+    stated = r ** (K + 1) / math.factorial(K + 1) * (K + 2) / (K + 2 - r)
+    with mpmath.workdps(50):
+        kept = mpmath.fsum(mpmath.mpf(r) ** k / mpmath.factorial(k) for k in range(K + 1))
+        assert 0 < mpmath.exp(r) - kept <= stated <= 0.011 * _EPS
+    assert r**K / math.factorial(K) < _EPS <= r ** (K - 1) / math.factorial(K - 1)
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_rows_give_the_same_bits_alone_as_in_any_batch(rng, m):
+    # a row's value and bound are functions of its own nodes and t: rows
+    # spread over a width 2 and rows within 1e-3 of one centre, some with a
+    # repeated node, each alone and in random batches of the others, near
+    # the series at t = +-1 and past the radius (the spread rows) at +-30
+    base = rng.uniform(-1.5, 1.5, size=(40, 1))
+    width = np.where(np.arange(40) % 2 == 0, 1.0, 1e-3)[:, None]
+    nodes = base + width * rng.uniform(-1.0, 1.0, size=(40, m))
+    if m > 2:
+        nodes[::3, -1] = nodes[::3, 0]
+    for t in (1.0, -1.0, 30.0, -30.0):
+        alone = [dd_exp_batch(row[None, :], t) for row in nodes]
+        vals = np.array([v[0] for v, _, _ in alone])
+        errs = np.array([e[0] for _, _, e in alone])
+        for size in (2, 7, 40):
+            pick = rng.permutation(40)[:size]
+            got_vals, _, got_errs = dd_exp_batch(nodes[pick], t)
+            assert np.array_equal(got_vals, vals[pick]), (m, t, size)
+            assert np.array_equal(got_errs, errs[pick]), (m, t, size)
 
 
 def test_binomial_expansion_base_cases(rng):

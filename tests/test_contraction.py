@@ -320,6 +320,20 @@ def test_tuple_sums_take_one_divided_difference_call_per_chunk(rng, monkeypatch)
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
+def test_pieces_do_not_depend_on_the_chunk_size(rng, monkeypatch):
+    # at 37 tuple ids per chunk every order-3 sum splits its node lists over
+    # other divided-difference calls than at the default; each divided
+    # difference is a function of its own nodes and t, so no bit moves,
+    # near the series (t = 1) and past its radius (t = 9)
+    m = redivide(random_offdiag_model(rng, 9, min_gap=0.05))
+    e, g = m.shifted_energies, m.offdiagonal
+    cases = [(p, t) for p in enumerate_patterns(3) for t in (1.0, 9.0)]
+    default = [pattern_piece_matrix(e, g, p, t) for p, t in cases]
+    monkeypatch.setattr(propagator, "TUPLES_PER_CALL", 37)
+    for (p, t), want in zip(cases, default, strict=True):
+        assert np.array_equal(pattern_piece_matrix(e, g, p, t), want), (str(p), t)
+
+
 @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
 def test_pieces_reject_a_non_finite_time_at_zero_coupling(t):
     # no tuple has a non-zero coupling product, and t is checked all the same

@@ -283,6 +283,37 @@ def test_improved_transition_basics_and_golden_frequency():
         improved_transition(m, 0, 5, [0.0])
 
 
+@pytest.mark.parametrize("v", [1e-2, 1e-4, 1e-6])
+def test_transition_delta_stays_accurate_at_weak_coupling(v):
+    # ladder 0, 1, 2.3: delta = p_improved - p_usual at 50 digits from the
+    # same frequencies and shifts; at weak coupling the shift is ~v^2 and a
+    # difference of two cosines of nearly equal frequencies cancels to
+    # nothing (relative error 1.0 at v = 1e-6)
+    import mpmath
+
+    h = np.zeros((3, 3), complex)
+    h[0, 1] = h[1, 0] = v
+    h[1, 2] = h[2, 1] = 0.7 * v
+    h[0, 2] = h[2, 0] = 0.4 * v
+    m = redivide(SplitHamiltonian(energies=[0.0, 1.0, 2.3], perturbation=h))
+    times = np.geomspace(1e-3, 50.0, 200)
+    rep = improved_transition(m, 0, 1, times)
+    shift = revision_energies(m, improved.SCHEME_ORDER + 1).G.sum(axis=0)
+    e = m.shifted_energies
+    amp = abs(m.offdiagonal[1, 0]) ** 2
+    with mpmath.workdps(50):
+        w = mpmath.mpf(e[1]) - mpmath.mpf(e[0])
+        wt = w + mpmath.mpf(shift[1]) - mpmath.mpf(shift[0])
+        for t, got in zip(times, rep.delta):
+            t = mpmath.mpf(t)
+            diff = mpmath.sin(wt * t / 2) ** 2 - mpmath.sin(w * t / 2) ** 2
+            want = amp * diff / (w / 2) ** 2
+            assert abs((got - want) / want) < 1e-12, (v, float(t))
+    # the identity the CSV reader checks, relative to the peak 4 |g|^2 / w^2
+    peak = 4.0 * amp / (e[1] - e[0]) ** 2
+    assert np.max(np.abs(rep.delta - (rep.p_improved - rep.p_usual))) <= 1e-12 * peak
+
+
 def test_improved_transition_dominance_quick():
     ts = two_state()
     m = redivide(ts.to_split_hamiltonian())

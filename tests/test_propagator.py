@@ -318,8 +318,9 @@ def test_evolve_rejects_negative_order_cap(small_redivided):
 
 
 def test_evolve_exponential_count(rng, monkeypatch):
-    # one step exponential walks a linspace grid; a start off 0 and a last
-    # point an ulp off its reference take one more each
+    # one step exponential walks a linspace grid, and a start off 0 takes
+    # one more; the last point of linspace(0, 0.9, 51) is an ulp off
+    # 0 + 50 h and takes none
     calls = []
     expm = scipy.linalg.expm
 
@@ -331,10 +332,10 @@ def test_evolve_exponential_count(rng, monkeypatch):
     m = redivide(random_offdiag_model(rng, 8, min_gap=0.05))
     psi0 = basis_state(8, 0)
     T = 1.3 / coupling_strength(m)
-    for start, most in ((0.0, 2), (0.4, 3)):
+    for start, stop, count in ((0.0, T, 1), (0.4, T, 2), (0.0, 0.9, 1)):
         calls.clear()
-        evolve(m, psi0, np.linspace(start, T, 51), 12)
-        assert 1 <= len(calls) <= most, (start, calls)
+        evolve(m, psi0, np.linspace(start, stop, 51), 12)
+        assert len(calls) == count, (start, stop, calls)
         assert set(calls) == {13 * 8}
 
 
