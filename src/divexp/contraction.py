@@ -17,9 +17,11 @@ indices) are handled as limits rather than 0/0.  second_order_pieces and
 third_order_pieces evaluate the term T_l once and take two pieces from it:
 the one pattern that reaches the diagonal is diag(T_l), and the one with
 all l + 1 indices distinct is the off-diagonal of T_l less the other
-pieces, so only cc, cn and nc (at most D^3 tuple ids each) are summed.  A
-piece taken from T_l is accurate to a few eps of max |T_l| rather than of
-its own size; pattern_piece_matrix stays the independent check of each.
+pieces.  Those others, cc, cn and nc, come from one shared table of
+divided differences f[a,a,b,b] and f[x,x,y,z] (_third_order_contractions,
+O(D^3) work) rather than three tuple sums.  A piece taken from T_l is
+accurate to a few eps of max |T_l| rather than of its own size; the tuple
+sums of pattern_piece_matrix stay the independent check of every piece.
 
 The resummed secular aggregates take the t^0 classes of the lower orders
 exactly, as the series coefficients of each level's spectral projector
@@ -38,12 +40,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import improved
+from . import improved, propagator
+from .coeff import dd_exp_batch
 from .model import RedividedHamiltonian, SplitHamiltonian
 from .propagator import _split_arrays, _tuple_sum, series_order_matrix
-
-# unused here; kept only because perfbench/spans.py wraps this name in this module
-from .coeff import dd_exp_batch  # noqa: F401
 
 MIN_PATTERN_ORDER = 2
 MAX_PATTERN_ORDER = 6
@@ -183,6 +183,54 @@ def pattern_piece_matrix(
     return _tuple_sum(energies, coupling, pattern.classes, ne_pairs, t)
 
 
+def _third_order_contractions(energies, coupling, t):
+    """cc, cn and nc of order 3 from one table of divided differences.
+
+    The coupling g must be strictly off-diagonal.  With W = g o g^T, the
+    pair rows P[a, b] = f[a, a, b, b] and the triple rows
+    F[x; y, z] = f[x, x, y, z] (x, y, z distinct, symmetric in y and z):
+
+        cc = P o g o W,   cn[a, c] = g[a, c] V[a, c],   nc[a, b] = g[a, b] V[b, a],
+
+    V[x, y] = sum_z W[x, z] F[x; y, z].  Each row lists its indices sorted,
+    as _tuple_sum lists them, so each value is bitwise the tuple route's;
+    pattern_piece_matrix stays the independent check of the three pieces.
+    The triple rows go to dd_exp_batch in blocks of the doubled level x, at
+    most TUPLES_PER_CALL rows a call but at least one level, and the pair
+    rows with the first block, so a call holds O(D^2) rows.  The first call
+    is made even when it has no row, so a non-finite t always raises.
+    """
+    dim = energies.size
+    w = coupling * coupling.T
+    a, b = np.triu_indices(dim, 1)
+    pairs = np.column_stack((a, a, b, b))
+    # the pairs y < z of the other levels of x, from those of 0 .. D - 2
+    y, z = np.triu_indices(dim - 1, 1)
+    per_call = propagator.TUPLES_PER_CALL
+    first, step = (
+        (max(1, (per_call - len(pairs)) // y.size), max(1, per_call // y.size))
+        if y.size
+        else (dim, dim)
+    )
+    bounds = [0, *range(first, dim, step), dim]
+    P = np.zeros((dim, dim), dtype=complex)
+    V = np.empty((dim, dim), dtype=complex)
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        x = np.arange(start, stop)[:, None]
+        ys, zs = y + (y >= x), z + (z >= x)
+        xs = np.broadcast_to(x, ys.shape)
+        triples = np.sort(np.stack((xs, xs, ys, zs), axis=-1).reshape(-1, 4), axis=1)
+        rows = pairs if start == 0 else pairs[:0]
+        vals, _, _ = dd_exp_batch(energies[np.concatenate((rows, triples))], t)
+        if start == 0:
+            P[a, b] = P[b, a] = vals[: len(pairs)]
+        F = np.zeros((stop - start, dim, dim), dtype=complex)
+        block = vals[len(rows) :].reshape(ys.shape)
+        F[x - start, ys, zs] = F[x - start, zs, ys] = block
+        V[start:stop] = np.einsum("xz,xyz->xy", w[start:stop], F)
+    return P * coupling * w, coupling * V, coupling * V.T
+
+
 def _third_order_counts(coupling) -> np.ndarray:
     """Entry (a, b): the number of tuples (a, i, j, b) of pairwise distinct
     indices, but for a = b on the diagonal, whose coupling product is non-zero.
@@ -208,25 +256,27 @@ def _pieces_from_term(
     and last positions (diagonal class D) reaches the diagonal, and orders 2
     and 3 have one such pattern, so it is diag(T_l).  One pattern puts all
     l + 1 positions in separate classes; it is the off-diagonal of T_l less
-    every other N piece.  Those others (cc, cn and nc at order 3, none at
-    order 2) are direct tuple sums over at most D^l ids, so no sum here runs
-    over D^(l+1).  A derived entry carries an absolute rounding error on the
+    every other N piece.  Those others are cc, cn and nc at order 3, none at
+    order 2, and all three come from one shared table of divided differences
+    (_third_order_contractions, O(D^3) work), so no sum here runs over
+    D^(l+1).  A derived entry carries an absolute rounding error on the
     scale of max |T_l|.  At order 3 a derived entry is set to exactly 0
     where its pattern has no tuple with a non-zero coupling product (every
     nn,n entry at D <= 3), as the direct sum gives; at order 2 the term is
     already exactly 0 there, where no walk of two coupling steps joins the
     row and the column.
     """
-    e, g = m.shifted_energies, m.offdiagonal
     patterns = enumerate_patterns(order)
     diag = np.diag(np.diag(term))
     off = term - diag
     matrices = {}
-    for p in patterns:
-        if p.diag_class == "N" and len(p.classes) <= order:
-            matrices[p] = pattern_piece_matrix(e, g, p, t)
-            off -= matrices[p]
     if order == 3:
+        g = m.offdiagonal
+        # enumeration order puts cc, cn and nc first
+        pieces = _third_order_contractions(m.shifted_energies, g, t)
+        for p, piece in zip(patterns, pieces):
+            matrices[p] = piece
+            off -= piece
         zero = _third_order_counts(g) == 0
         diag[zero] = off[zero] = 0.0
     for p in patterns:
@@ -263,8 +313,10 @@ def second_order_pieces(m: RedividedHamiltonian, t: float) -> tuple[TermPiece, T
 def third_order_pieces(m: RedividedHamiltonian, t: float) -> list[TermPiece]:
     """The five order-3 pieces (cc, cn, nc, nn-c, nn-n), summing to the term.
 
-    cc, cn and nc are tuple sums; nn-c is the diagonal of the order-3 term
-    and nn-n its off-diagonal less cc, cn and nc.
+    cc, cn and nc come from one shared table of divided differences, and
+    their tuple sums (pattern_piece_matrix) are the independent check; nn-c
+    is the diagonal of the order-3 term and nn-n its off-diagonal less cc,
+    cn and nc.
     """
     return _pieces(m, t, 3)
 

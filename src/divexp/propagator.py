@@ -22,8 +22,10 @@ time grid, and each time off that grid costs one more exponential.
 The same term is a sum over index tuples (g_1 .. g_{l+1}) of the exponential
 divided difference over the tuple's energies times the product of coupling
 elements along it.  One private kernel, _tuple_sum, evaluates such sums with
-some indices forced equal and others unequal: the contraction and mixed
-pieces of divexp.contraction.  It walks the flat tuple ids in chunks of
+some indices forced equal and others unequal: the contraction pieces of
+orders 4 to 6 and the mixed pieces of divexp.contraction, and the
+independent check of the order-3 pieces that divexp.contraction takes
+from one shared table.  It walks the flat tuple ids in chunks of
 TUPLES_PER_CALL and makes one dd_exp_batch call per chunk over the chunk's
 distinct node multisets.  oracle_eigensolve, the exact propagator from a
 dense eigendecomposition, is the reference `divexp bench` measures the
@@ -44,7 +46,8 @@ from .model import RedividedHamiltonian, SplitHamiltonian, StateVector
 
 MAX_BLOCK_SIDE = 2048
 MAX_AUTO_ORDER = 16
-# tuple ids per dd_exp_batch call in _tuple_sum: bounds its working memory
+# tuple ids per dd_exp_batch call in _tuple_sum, and node rows per call in
+# contraction._third_order_contractions past one level: bounds their memory
 TUPLES_PER_CALL = 4096
 
 

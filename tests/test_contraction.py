@@ -31,7 +31,7 @@ from divexp import (
     third_order_pieces,
 )
 from divexp import cli, coeff, contraction, improved, propagator
-from divexp.contraction import pattern_piece_matrix
+from divexp.contraction import _third_order_contractions, pattern_piece_matrix
 from divexp.propagator import series_order_matrix
 from oracles import (
     mp_distinct_tuple_sum,
@@ -247,6 +247,78 @@ def test_derived_pieces_match_their_tuple_sums(rng, shape):
                     assert np.all(piece.matrix[want == 0] == 0), where
 
 
+def _level_pair_model(rng, dim, shape, pair):
+    levels = np.sort(rng.uniform(0.0, 3.0, size=dim))
+    if pair:
+        levels[1] = levels[0] + 1e-9
+    m = redivide(
+        SplitHamiltonian(energies=levels, perturbation=random_coupling(rng, dim, shape))
+    )
+    return m.shifted_energies, m.offdiagonal
+
+
+def _count_table_calls(monkeypatch):
+    """The row count of every dd_exp_batch call contraction makes, as a list."""
+    calls = []
+    real = contraction.dd_exp_batch
+
+    def counting(nodes, t):
+        calls.append(len(nodes))
+        return real(nodes, t)
+
+    monkeypatch.setattr(contraction, "dd_exp_batch", counting)
+    return calls
+
+
+@pytest.mark.parametrize("shape", ["dense", "chain", "sparse", "star"])
+def test_shared_table_contractions_match_their_tuple_sums(rng, shape):
+    # cc, cn and nc from the one shared divided-difference table agree with
+    # the direct tuple sum of each pattern on the piece's own scale, at t = 9
+    # past SERIES_RADIUS too, and are exactly zero wherever that sum is
+    patterns = enumerate_patterns(3)[:3]
+    assert [str(p) for p in patterns] == ["cc", "cn", "nc"]
+    for dim in (*range(2, 10), 12, 20):
+        for pair in (False, True):
+            e, g = _level_pair_model(rng, dim, shape, pair)
+            for t in (1.0, 9.0):
+                pieces = _third_order_contractions(e, g, t)
+                for piece, pattern in zip(pieces, patterns, strict=True):
+                    want = pattern_piece_matrix(e, g, pattern, t)
+                    where = (shape, dim, pair, t, str(pattern))
+                    err = np.max(np.abs(piece - want))
+                    assert err <= 1e-14 * np.max(np.abs(want)), where
+                    assert np.all(piece[want == 0] == 0), where
+
+
+def test_shared_table_does_not_depend_on_its_blocks(rng, monkeypatch):
+    calls = _count_table_calls(monkeypatch)
+    for dim in (9, 24):
+        e, g = _level_pair_model(rng, dim, "dense", True)
+        for t in (1.0, 9.0):
+            calls.clear()
+            want = _third_order_contractions(e, g, t)
+            default_calls = len(calls)
+            with monkeypatch.context() as patch:
+                patch.setattr(propagator, "TUPLES_PER_CALL", 37)
+                calls.clear()
+                got = _third_order_contractions(e, g, t)
+            # one level a call at 37 rows, more than at the default
+            assert len(calls) == dim > default_calls
+            for a, b in zip(got, want, strict=True):
+                assert np.array_equal(a, b), (dim, t)
+
+
+def test_shared_table_calls_hold_at_most_two_levels_of_rows(rng, monkeypatch):
+    # past TUPLES_PER_CALL a call still takes one whole level, and the first
+    # call takes the pair rows too: C(D, 2) + C(D - 1, 2) < 2 C(D, 2)
+    calls = _count_table_calls(monkeypatch)
+    dim = 100
+    e, g = _level_pair_model(rng, dim, "sparse", False)
+    _third_order_contractions(e, g, 1.0)
+    assert max(calls) <= 2 * math.comb(dim, 2) == 9900
+    assert sum(calls) == math.comb(dim, 2) + dim * math.comb(dim - 1, 2)
+
+
 def test_decompose_evaluates_the_term_once_and_no_sum_past_d_to_the_l(
     rng, tmp_path, monkeypatch
 ):
@@ -269,19 +341,26 @@ def test_decompose_evaluates_the_term_once_and_no_sum_past_d_to_the_l(
     )
     for module in (propagator, contraction):
         monkeypatch.setattr(module, "_tuple_sum", counting("sum", module._tuple_sum))
+    for module in (coeff, propagator, contraction):
+        monkeypatch.setattr(
+            module, "dd_exp_batch", counting("dd", module.dd_exp_batch)
+        )
     dim = 6
     path = tmp_path / "model.json"
     path.write_bytes(dump_model(random_offdiag_model(rng, dim, min_gap=0.1)))
-    for order, pieces in ((2, 0), (3, 3)):
+    # order 3: C(D, 2) pair rows f[a,a,b,b] and D C(D-1, 2) triple rows
+    # f[x,x,y,z], one shared table for cc, cn and nc
+    table = math.comb(dim, 2) + dim * math.comb(dim - 1, 2)
+    assert table == 75
+    for order, rows in ((2, []), (3, [table])):
         calls.clear()
         argv = ["decompose", "--model", str(path), "--order", str(order),
                 "--out", str(tmp_path / "out.json")]
         assert cli.main(argv) == 0
         names = [name for name, _ in calls]
-        assert names.count("term") == 1 and names.count("piece") == pieces
-        # the term is no tuple sum; every sum left has at most l classes
-        classes = [len(args[2]) for name, args in calls if name == "sum"]
-        assert len(classes) == pieces and all(n <= order for n in classes)
+        assert names.count("term") == 1
+        assert names.count("piece") == names.count("sum") == 0
+        assert [len(args[0]) for name, args in calls if name == "dd"] == rows
 
 
 def test_tuple_sums_take_one_divided_difference_call_per_chunk(rng, monkeypatch):
