@@ -11,13 +11,18 @@ Havel, Adv. Appl. Math. 1995).  series_order_matrix takes T_l from
 _algebra_top_row, which exponentiates in that algebra: a Taylor polynomial
 at t A / 2^s and s squarings, with a degree and a scaling fixed by a stated
 truncation bound and no matrix of side (L+1) D.  truncated_propagator and
-evolve take the dense exponential of A instead (scipy.linalg.expm on side
-(L+1) D, laid out level by level), whose row _block_top_row returns in the
-same (L+1, D, D) shape.  All three refuse (L+1) D above MAX_BLOCK_SIDE =
-2048 with BudgetExceededError: evolve at any L, and truncated_propagator
-unless L == 0 or the coupling is zero.  The generator does not depend on t,
-so one exponential exp(h A) steps evolve's state across an evenly spaced
-time grid, and each time off that grid costs one more exponential.
+evolve take the dense exponential of A instead (scipy.linalg.expm, laid out
+level by level), whose row _block_top_row returns in the same (L+1, D, D)
+shape.  All three refuse (L+1) D above MAX_BLOCK_SIDE = 2048 with
+BudgetExceededError: evolve at any L, and truncated_propagator unless
+L == 0 or the coupling is zero.  The generator does not depend on t, so
+one step exp(h A) walks evolve's state across an evenly spaced time grid,
+and each time off that grid costs one more exponential.  evolve lays each
+of its exponentials out from a top row E_0..E_m(dt) alone: with
+||E_l(dt)|| <= (||g|| |dt|)^l / l!, m is the least order <= L at which the
+tail bound of the dropped blocks, summed over the N times the walk applies
+that exponential, is under 2^-53, so the step of a 51-point grid at
+||g|| h <= 0.03 takes scipy's expm on side at most 9 D, not (L+1) D.
 
 The same term is a sum over index tuples (g_1 .. g_{l+1}) of the exponential
 divided difference over the tuple's energies times the product of coupling
@@ -320,15 +325,52 @@ def auto_order(m: RedividedHamiltonian, t_max: float, tol: float) -> int:
     )
 
 
+def _step_order(x: float, L: int, uses: int) -> int:
+    """Least m <= L with uses * _tail_bound(x, m) < 2^-53, and L if none.
+
+    x is ||g|| |dt| of a step that the walk applies ``uses`` times: the
+    blocks E_l(dt) with l > m that the step drops then sum, over the walk,
+    to under one rounding unit.
+    """
+    return next((m for m in range(L) if uses * _tail_bound(x, m) < 2.0**-53), L)
+
+
+def _step(energies, coupling, L, dt, g_norm, uses=1):
+    """exp(dt A) of orders 0..L, level by level, with blocks past order m dropped.
+
+    m is _step_order(||g|| |dt|, L, uses), and the row E_0..E_m(dt) is the
+    one exponential of side (m+1) D that _block_top_row takes: truncating
+    the orders is a quotient of the algebra, so those blocks are the first
+    m + 1 of the order-L row.  Entry (a (L+1) + i, b (L+1) + j) is
+    E_{j-i}(dt)[a, b] for 0 <= j - i <= m and 0 otherwise, laid out by one
+    gather from the row and a zero block.
+    """
+    dim = energies.size
+    m = _step_order(g_norm * abs(dt), L, uses)
+    blocks = np.concatenate(
+        [_block_top_row(energies, coupling, m, dt), np.zeros((1, dim, dim), complex)]
+    )
+    lag = np.arange(L + 1) - np.arange(L + 1)[:, None]  # j - i
+    lag[(lag < 0) | (lag > m)] = m + 1
+    a = np.arange(dim)[:, None, None, None]
+    b = np.arange(dim)[:, None]
+    return blocks[lag[:, None, :], a, b].reshape((L + 1) * dim, (L + 1) * dim)
+
+
 def evolve(m: RedividedHamiltonian, psi0: StateVector, times, L: int) -> EvolutionResult:
     """Amplitudes of the truncated evolution at each requested time.
 
     The amplitude of level a at t is entry a (L+1) of exp(t A) w, with A
     the generator of orders 0..L and w psi0 at every order of each level.
-    One exponential of h A, h the mean spacing of times, walks exp(t_0 A) w
+    One step exp(h A), h the mean spacing of times, walks exp(t_0 A) w
     across the points s_k of np.linspace(t_0, t_last, n); a time t_k other
     than s_k takes one more exponential of (t_k - s_k) A, so an
-    np.linspace grid takes none.
+    np.linspace grid takes none.  Each exponential keeps the orders its
+    step resolves: the least m <= L with N (x^(m+1) / (m+1)!) e^x < 2^-53,
+    x = ||g|| |dt| and N the number of times the walk applies it (n - 1 for
+    the step, 1 otherwise).  Since ||E_l(dt)|| <= x^l / l!, the blocks it
+    drops sum, over the N steps, to under one rounding unit; the
+    exponential is scipy's on side (m+1) D, not (L+1) D.
     """
     times = np.asarray(times, dtype=float).reshape(-1)
     if times.size < 1 or not np.all(np.isfinite(times)):
@@ -337,15 +379,17 @@ def evolve(m: RedividedHamiltonian, psi0: StateVector, times, L: int) -> Evoluti
         raise ValueError("state dimension does not match model")
     if L < 0:
         raise ValueError("order cap must be >= 0")
-    A = _generator(m.shifted_energies, m.offdiagonal, L)
+    _block_side(m.dim, L)
+    e, g = m.shifted_energies, m.offdiagonal
+    g_norm = coupling_strength(m)
     w = np.repeat(psi0.amplitudes, L + 1)
 
     def advance(v, dt):
-        return v if dt == 0 else scipy.linalg.expm(dt * A) @ v
+        return v if dt == 0 else _step(e, g, L, dt, g_norm) @ v
 
     t0 = times[0]
     h = (times[-1] - t0) / (times.size - 1) if times.size > 1 else 0.0
-    step = scipy.linalg.expm(h * A) if h else None
+    step = _step(e, g, L, h, g_norm, times.size - 1) if h else None
     v = advance(w, t0)
     grid = np.linspace(t0, times[-1], times.size)
     amps = np.empty((times.size, m.dim), dtype=complex)
@@ -354,8 +398,7 @@ def evolve(m: RedividedHamiltonian, psi0: StateVector, times, L: int) -> Evoluti
             v = step @ v
         # exp(0 A) = I: a t = 0 row is psi0 exactly wherever it sits
         amps[k] = (w if t == 0 else advance(v, t - grid[k]))[:: L + 1]
-    g = coupling_strength(m)
-    tails = np.array([_tail_bound(g * abs(t), L) for t in times])
+    tails = np.array([_tail_bound(g_norm * abs(t), L) for t in times])
     drift = np.abs(np.linalg.norm(amps, axis=1) - 1.0)
     return EvolutionResult(
         times=times, amplitudes=amps, order_cap=L, tail_bounds=tails, norm_drift=drift

@@ -317,26 +317,135 @@ def test_evolve_rejects_negative_order_cap(small_redivided):
         evolve(small_redivided, basis_state(3, 0), [0.0, 1.0], L=-1)
 
 
-def test_evolve_exponential_count(rng, monkeypatch):
-    # one step exponential walks a linspace grid, and a start off 0 takes
-    # one more; the last point of linspace(0, 0.9, 51) is an ulp off
-    # 0 + 50 h and takes none
-    calls = []
+def step_side(m, L, dt, uses):
+    """Side (k+1) D of a step exp(dt A) that the walk applies ``uses`` times.
+
+    k is the least order <= L at which uses * _tail_bound(||g|| |dt|, k)
+    falls below 2^-53, and L if there is none.
+    """
+    x = coupling_strength(m) * abs(dt)
+    k = next((k for k in range(L) if uses * _tail_bound(x, k) < 2.0**-53), L)
+    return (k + 1) * m.dim
+
+
+@pytest.fixture
+def expm_sides(monkeypatch):
+    """The side of each scipy.linalg.expm call that propagator makes, in order."""
+    sides = []
     expm = scipy.linalg.expm
 
     def counting_expm(M):
-        calls.append(M.shape[0])
+        sides.append(M.shape[0])
         return expm(M)
 
     monkeypatch.setattr(propagator.scipy.linalg, "expm", counting_expm)
+    return sides
+
+
+def test_evolve_exponential_count(rng, expm_sides):
+    # one step exponential walks a linspace grid, and a start off 0 takes
+    # one more; the last point of linspace(0, 0.9, 51) is an ulp off
+    # 0 + 50 h and takes none.  Each exponential has the side the
+    # step-order rule gives it, which is (L+1) D once the step is long
+    calls = expm_sides
     m = redivide(random_offdiag_model(rng, 8, min_gap=0.05))
     psi0 = basis_state(8, 0)
     T = 1.3 / coupling_strength(m)
-    for start, stop, count in ((0.0, T, 1), (0.4, T, 2), (0.0, 0.9, 1)):
+    for start, stop, count in ((0.0, T, 1), (0.4, T, 2), (0.0, 0.9, 1), (0.0, 40 * T, 1)):
         calls.clear()
         evolve(m, psi0, np.linspace(start, stop, 51), 12)
         assert len(calls) == count, (start, stop, calls)
-        assert set(calls) == {13 * 8}
+        want = [step_side(m, 12, (stop - start) / 50, 50)]
+        if start:
+            want.append(step_side(m, 12, start, 1))
+        assert calls == want, (start, stop, calls)
+    # ||g|| h = 0.026 keeps orders 0..8 of the step; at 1.04 it keeps all 13
+    assert step_side(m, 12, T / 50, 50) == 9 * 8
+    assert step_side(m, 12, 40 * T / 50, 50) == 13 * 8
+
+
+def test_step_order_rule(rng, expm_sides):
+    # the least order whose tail, summed over the walk's steps, is under one
+    # rounding unit: 0 without coupling, L for a long step, never above L
+    for L in range(MAX_AUTO_ORDER + 1):
+        for uses in (1, 50, 10**6):
+            assert propagator._step_order(0.0, L, uses) == 0
+            for x in np.geomspace(1e-8, 100.0, 41):
+                k = propagator._step_order(float(x), L, uses)
+                assert 0 <= k <= L
+                if k < L:
+                    assert uses * _tail_bound(x, k) < 2.0**-53
+                if k > 0:
+                    assert uses * _tail_bound(x, k - 1) >= 2.0**-53
+    calls = expm_sides
+    model = random_offdiag_model(rng, 6, min_gap=0.05)
+    m = redivide(model)
+    free = redivide(
+        SplitHamiltonian(
+            energies=model.energies, perturbation=np.zeros_like(model.perturbation)
+        )
+    )
+    evolve(free, basis_state(6, 0), np.linspace(0.3, 5.0, 51), 12)
+    assert calls == [6, 6]
+    calls.clear()
+    evolve(m, basis_state(6, 0), [0.0, 4.0 / coupling_strength(m)], 12)
+    assert calls == [13 * 6]
+
+
+def full_order_walk(m, psi0, times, L):
+    """evolve's amplitudes with every exponential on all orders 0..L.
+
+    Each step and off-grid time is scipy.linalg.expm of the whole block
+    generator of side (L+1) D.
+    """
+    A = propagator._generator(m.shifted_energies, m.offdiagonal, L)
+    w = np.repeat(psi0.amplitudes, L + 1)
+
+    def advance(v, dt):
+        return v if dt == 0 else scipy.linalg.expm(dt * A) @ v
+
+    n = times.size
+    h = (times[-1] - times[0]) / (n - 1)
+    step = scipy.linalg.expm(h * A)
+    v = advance(w, times[0])
+    grid = np.linspace(times[0], times[-1], n)
+    amps = np.empty((n, m.dim), dtype=complex)
+    for k, t in enumerate(times):
+        if k:
+            v = step @ v
+        amps[k] = (w if t == 0 else advance(v, t - grid[k]))[:: L + 1]
+    return amps
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_evolve_at_grid_shapes_matches_the_full_order_walk(seed):
+    # the grid workload's shapes: D 6-10, L 10-15, x = ||g|| t_stop on
+    # [0.5, 1.4], 51 times; even seeds put the first and last levels 1e-9
+    # apart, seeds 1, 2, 4 and 5 start off 0, and every grid has one time
+    # off its linspace point
+    rng = np.random.default_rng(seed)
+    dim = int(rng.choice([6, 8, 10]))
+    L = int(rng.integers(10, 16))
+    levels = rng.uniform(0.0, 3.0, size=dim)
+    if seed % 2 == 0:
+        levels[-1] = levels[0] + 1e-9
+    h1 = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    h1 = (h1 + h1.conj().T) / 4.0
+    np.fill_diagonal(h1, 0.0)
+    m = redivide(SplitHamiltonian(energies=levels, perturbation=h1))
+    t_stop = rng.uniform(0.5, 1.4) / coupling_strength(m)
+    t0 = 0.0 if seed % 3 == 0 else rng.uniform(0.1, 0.5) * t_stop
+    times = np.linspace(t0, t_stop, 51)
+    off = int(rng.integers(1, 50))
+    times[off] += 0.4 * (t_stop - t0) / 50
+    psi0 = basis_state(dim, 0)
+    res = evolve(m, psi0, times, L)
+    want = full_order_walk(m, psi0, times, L)
+    assert np.max(np.abs(res.amplitudes - want)) <= 1e-14
+    for k in (0, off, 50):
+        exact = mp_propagator(m.total(), times[k])[:, 0]
+        err = np.linalg.norm(res.amplitudes[k] - exact)
+        assert err <= res.tail_bounds[k] + 1e-14, (k, err, res.tail_bounds[k])
 
 
 def test_evolve_size_guard(rng):
