@@ -11,17 +11,17 @@ This reproduces exactly 2 / 5 / 15 / 52 / 203 nontrivial pieces for orders
 2 through 6.
 
 Each piece is a tuple sum with its equal-index classes and unequal pairs
-(pattern_piece_matrix), evaluated by the propagator's tuple-sum kernel on
-confluent divided differences, so repeated nodes (the delta-contracted
-indices) are handled as limits rather than 0/0.  second_order_pieces and
-third_order_pieces evaluate the term T_l once and take two pieces from it:
-the one pattern that reaches the diagonal is diag(T_l), and the one with
-all l + 1 indices distinct is the off-diagonal of T_l less the other
-pieces.  Those others, cc, cn and nc, come from one shared table of
-divided differences f[a,a,b,b] and f[x,x,y,z] (_third_order_contractions,
-O(D^3) work) rather than three tuple sums.  A piece taken from T_l is
-accurate to a few eps of max |T_l| rather than of its own size; the tuple
-sums of pattern_piece_matrix stay the independent check of every piece.
+on confluent divided differences, so repeated nodes (the delta-contracted
+indices) are limits rather than 0/0.  The propagator's tuple-sum kernel
+evaluates it only in pattern_piece_matrix, the reference that checks every
+piece.  second_order_pieces and third_order_pieces evaluate the term T_l
+once and take two pieces from it: the one pattern that reaches the
+diagonal is diag(T_l), and the one with all l + 1 indices distinct is the
+off-diagonal of T_l less cc, cn and nc at order 3, which come from one
+shared table f[a,a,b,b], f[x,x,y,z] (_third_order_contractions, O(D^3)
+work).  A piece taken from T_l is accurate to a few eps of max |T_l|
+rather than of its own size.  The mixed pieces take one table f[a,a,b]
+and one term.
 
 The resummed secular aggregates take the t^0 classes of the lower orders
 exactly, as the series coefficients of each level's spectral projector
@@ -324,29 +324,28 @@ def third_order_pieces(m: RedividedHamiltonian, t: float) -> list[TermPiece]:
 def mixed_second_order_pieces(m: SplitHamiltonian, t: float) -> list[TermPiece]:
     """Order-2 pieces of the un-redivided split by diagonal/off-diagonal factors.
 
-    Splitting each coupling factor into its diagonal part h and off-diagonal
-    part g yields four pieces (hh, hg, gh, gg) whose sum is the order-2 term
-    of the original split.  A factor V[a, b] of the raw coupling is h when
-    a == b and g otherwise, so each piece is a tuple sum over V with the
-    matching equal and unequal index positions.
+    Each factor of the coupling V = diag(d) + g is its diagonal part d or its
+    off-diagonal part g, so the order-2 term of the split is the sum of four
+    pieces.  With F[a, b] = f[a, a, b], one dd_exp_batch table of D^2 rows,
+    hh = diag(F[a, a] d_a^2), hg[a, b] = F[a, b] d_a g[a, b] and
+    gh[a, b] = F[b, a] g[a, b] d_b; gg is the order-2 term of g
+    (series_order_matrix).  gg goes first, so 3 D above MAX_BLOCK_SIDE
+    (D >= 683) raises BudgetExceededError before the table is built.
     """
-    e = np.asarray(m.energies, dtype=float)
-    v = np.asarray(m.perturbation, dtype=complex)
-    shapes = (
-        ("hh", ((0, 1, 2),), (), "t2e", "D"),
-        ("hg", ((0, 1), (2,)), ((1, 2),), "te", "N"),
-        ("gh", ((0,), (1, 2)), ((0, 1),), "te", "N"),
-        ("gg", ((0,), (1,), (2,)), ((0, 1), (1, 2)), "te", None),
+    e, v = m.energies, m.perturbation
+    d = np.diag(v)
+    g = v - np.diag(d)
+    gg = series_order_matrix(e, g, 2, t)
+    a, b = np.indices(v.shape)
+    F = dd_exp_batch(e[np.stack((a, a, b), axis=-1).reshape(-1, 3)], t)[0]
+    F = F.reshape(v.shape)
+    pieces = (
+        ("hh", np.diag(np.diag(F) * d**2), "t2e", "D"),
+        ("hg", F * d[:, None] * g, "te", "N"),
+        ("gh", F.T * g * d, "te", "N"),
+        ("gg", gg, "te", None),
     )
-    return [
-        TermPiece(
-            label=label,
-            matrix=_tuple_sum(e, v, classes, ne_pairs, t),
-            time_class=time_class,
-            diag_class=diag_class,
-        )
-        for label, classes, ne_pairs, time_class, diag_class in shapes
-    ]
+    return [TermPiece(*piece) for piece in pieces]
 
 
 # ---------------------------------------------------------------------------

@@ -27,15 +27,14 @@ that exponential, is under 2^-53, so the step of a 51-point grid at
 The same term is a sum over index tuples (g_1 .. g_{l+1}) of the exponential
 divided difference over the tuple's energies times the product of coupling
 elements along it.  One private kernel, _tuple_sum, evaluates such sums with
-some indices forced equal and others unequal: the contraction pieces of
-orders 4 to 6 and the mixed pieces of divexp.contraction, and the
-independent check of the order-3 pieces that divexp.contraction takes
-from one shared table.  It walks the flat tuple ids in chunks of
-TUPLES_PER_CALL and makes one dd_exp_batch call per chunk over the chunk's
-distinct node multisets.  oracle_eigensolve, the exact propagator from a
-dense eigendecomposition, is the reference `divexp bench` measures the
-truncation error against; the other independent routes that check these
-terms live with the tests, in tests/oracles.py.
+some indices forced equal and others unequal, for the reference pieces of
+divexp.contraction alone (pattern_piece_matrix): every other piece comes
+from the term or from a shared divided-difference table.  It walks the
+flat tuple ids in chunks of TUPLES_PER_CALL and makes one dd_exp_batch call
+per chunk over the chunk's distinct node multisets.  oracle_eigensolve, the
+exact propagator from a dense eigendecomposition, is the reference `divexp
+bench` measures the truncation error against; the other independent routes
+that check these terms live with the tests, in tests/oracles.py.
 """
 
 from __future__ import annotations

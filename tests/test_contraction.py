@@ -32,7 +32,7 @@ from divexp import (
 )
 from divexp import cli, coeff, contraction, improved, propagator
 from divexp.contraction import _third_order_contractions, pattern_piece_matrix
-from divexp.propagator import series_order_matrix
+from divexp.propagator import _tuple_sum, series_order_matrix
 from oracles import (
     mp_distinct_tuple_sum,
     oracle_block_order,
@@ -319,9 +319,9 @@ def test_shared_table_calls_hold_at_most_two_levels_of_rows(rng, monkeypatch):
     assert sum(calls) == math.comb(dim, 2) + dim * math.comb(dim - 1, 2)
 
 
-def test_decompose_evaluates_the_term_once_and_no_sum_past_d_to_the_l(
-    rng, tmp_path, monkeypatch
-):
+def _count_calls(monkeypatch):
+    """(name, args) of every call of the term, a reference piece, the tuple
+    sum or the divided differences, as a list."""
     calls = []
 
     def counting(name, real):
@@ -332,19 +332,25 @@ def test_decompose_evaluates_the_term_once_and_no_sum_past_d_to_the_l(
         return stub
 
     monkeypatch.setattr(
-        propagator, "series_order_matrix",
-        counting("term", propagator.series_order_matrix),
-    )
-    monkeypatch.setattr(
         contraction, "pattern_piece_matrix",
         counting("piece", contraction.pattern_piece_matrix),
     )
     for module in (propagator, contraction):
+        monkeypatch.setattr(
+            module, "series_order_matrix", counting("term", module.series_order_matrix)
+        )
         monkeypatch.setattr(module, "_tuple_sum", counting("sum", module._tuple_sum))
     for module in (coeff, propagator, contraction):
         monkeypatch.setattr(
             module, "dd_exp_batch", counting("dd", module.dd_exp_batch)
         )
+    return calls
+
+
+def test_decompose_evaluates_the_term_once_and_no_sum_past_d_to_the_l(
+    rng, tmp_path, monkeypatch
+):
+    calls = _count_calls(monkeypatch)
     dim = 6
     path = tmp_path / "model.json"
     path.write_bytes(dump_model(random_offdiag_model(rng, dim, min_gap=0.1)))
@@ -515,6 +521,77 @@ def test_mixed_second_order_pieces(rng):
         if p.diag_class == "N":
             mat = pattern_piece_matrix(model.energies, model.perturbation, p, t)
             assert np.all(np.diag(mat) == 0), str(p)
+
+    # each piece agrees with its tuple sum over V, with the equal and unequal
+    # index positions that make each factor d or g, on its own scale: full
+    # Hermitian V and every sparsity shape with some d_a = 0, a 1e-9 level
+    # pair or none, and t = 9, where f[a, a, b] rows run past SERIES_RADIUS
+    shapes = (
+        (((0, 1, 2),), ()),
+        (((0, 1), (2,)), ((1, 2),)),
+        (((0,), (1, 2)), ((0, 1),)),
+        (((0,), (1,), (2,)), ((0, 1), (1, 2))),
+    )
+    far = 0
+    for dim in range(1, 12):
+        for kind in ("hermitian", "dense", "chain", "sparse", "star"):
+            for pair in (False, True) if dim > 1 else (False,):
+                if kind == "hermitian":
+                    h = random_hermitian_model(rng, dim)
+                    e, v = np.array(h.energies), h.perturbation
+                else:
+                    e = rng.uniform(0.0, 3.0, size=dim)
+                    d = rng.uniform(-0.3, 0.3, size=dim) * (rng.uniform(size=dim) < 0.7)
+                    v = random_coupling(rng, dim, kind) + np.diag(d)
+                if pair:
+                    e[1] = e[0] + 1e-9
+                model = SplitHamiltonian(energies=e, perturbation=v)
+                e, v = model.energies, model.perturbation
+                d, g = np.diag(v), v - np.diag(np.diag(v))
+                for t in (1.0, 9.0):
+                    rho = t * np.abs(np.subtract.outer(e, e)) / 2.0
+                    far += np.count_nonzero(rho > coeff.SERIES_RADIUS)
+                    pieces = mixed_second_order_pieces(model, t)
+                    for piece, (classes, ne_pairs) in zip(pieces, shapes, strict=True):
+                        want = _tuple_sum(e, v, classes, ne_pairs, t)
+                        where = (dim, kind, pair, t, piece.label)
+                        err = np.max(np.abs(piece.matrix - want))
+                        assert err <= 1e-14 * np.max(np.abs(want)), where
+                        assert np.all(piece.matrix[want == 0] == 0), where
+                    hh, hg, gh, _ = (p.matrix for p in pieces)
+                    assert np.all(hh[d == 0] == 0) and np.all(hg[d == 0] == 0)
+                    assert np.all(gh[:, d == 0] == 0)
+                    assert np.all(hg[g == 0] == 0) and np.all(gh[g == 0] == 0)
+    # f[a, a, b] rows past the radius take the squared series
+    assert far > 0
+
+
+def test_mixed_pieces_take_one_table_and_one_term_and_no_tuple_sum(rng, monkeypatch):
+    calls = _count_calls(monkeypatch)
+    for dim in (1, 4, 9):
+        calls.clear()
+        mixed_second_order_pieces(random_hermitian_model(rng, dim), 0.8)
+        # D rows f[a, a, a] and D (D - 1) rows f[a, a, b]
+        assert [(name, len(args[0])) for name, args in calls if name == "dd"] == [
+            ("dd", dim**2)
+        ]
+        assert [name for name, _ in calls if name != "dd"] == ["term"]
+
+
+def test_mixed_pieces_refuse_d_683_before_the_table(monkeypatch):
+    # gg is the order-2 term of g, whose block side 3 D passes MAX_BLOCK_SIDE
+    calls = _count_table_calls(monkeypatch)
+    dim = 683
+    assert 3 * dim > propagator.MAX_BLOCK_SIDE >= 3 * (dim - 1)
+    split = SplitHamiltonian(
+        energies=np.arange(dim, dtype=float), perturbation=np.zeros((dim, dim))
+    )
+    with pytest.raises(propagator.BudgetExceededError):
+        mixed_second_order_pieces(split, 0.8)
+    for t in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="^t must be finite$"):
+            mixed_second_order_pieces(split, t)
+    assert calls == []
 
 
 def test_redivided_closed_form_order2(rng):

@@ -100,6 +100,24 @@ def test_entry_point_parameters():
     assert functions <= set(ENTRY_POINT_PARAMETERS)
 
 
+def test_the_tuple_sum_serves_only_the_reference_pieces():
+    # every production piece comes from the term or a shared divided-difference
+    # table; the tuple sum is left to pattern_piece_matrix, the reference
+    defined, used = [], []
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            where = f"{path.stem}.{getattr(top, 'name', '<module>')}"
+            if isinstance(top, ast.FunctionDef) and top.name == "_tuple_sum":
+                defined.append(where)
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Name) and node.id == "_tuple_sum") or (
+                    isinstance(node, ast.Attribute) and node.attr == "_tuple_sum"
+                ):
+                    used.append(where)
+    assert defined == ["propagator._tuple_sum"]
+    assert used == ["contraction.pattern_piece_matrix"]
+
+
 def test_oracles_import_only_classes_from_divexp():
     # an oracle that called divexp code would check the engine against itself
     tree = ast.parse((TESTS / "oracles.py").read_text())
