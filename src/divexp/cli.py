@@ -258,27 +258,25 @@ def cmd_bench(args) -> int:
     rng = np.random.default_rng(args.seed)
     dims = [int(x) for x in args.dims.split(",")]
     orders = [int(x) for x in args.orders.split(",")]
-    models = []
+    runs = []
     for dim in dims:
         h1 = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         h1 = (h1 + h1.conj().T) / 2.0
         np.fill_diagonal(h1, 0.0)
         model = SplitHamiltonian(energies=np.arange(dim, dtype=float), perturbation=h1)
         m = redivide(model)
-        # a pair truncated_propagator would refuse fails before any eigensolve
-        for L in orders:
-            if L > 0 and np.any(m.offdiagonal):
-                propagator._block_side(dim, L)
-        models.append((model, m))
-    rows = []
-    for dim, (model, m) in zip(dims, models):
-        scale = propagator.coupling_strength(m)
-        t = args.t / max(scale, 1e-12)
-        exact = propagator.oracle_eigensolve(model, t)
+        t = args.t / max(propagator.coupling_strength(m), 1e-12)
+        timed = []
         for L in orders:
             t0 = time.perf_counter()
             U = propagator.truncated_propagator(m, L, t)
-            wall = time.perf_counter() - t0
+            timed.append((L, time.perf_counter() - t0, U))
+        runs.append((model, t, timed))
+    # every propagator first, so a pair it refuses fails before any eigensolve
+    rows = []
+    for dim, (model, t, timed) in zip(dims, runs):
+        exact = propagator.oracle_eigensolve(model, t)
+        for L, wall, U in timed:
             err = float(np.linalg.norm(U.matrix - exact))
             rows.append((dim, L, "block", wall, err, U.tail_bound))
     header = ["dim", "order_cap", "method", "wall_time_s", "error_vs_oracle", "tail_bound"]

@@ -95,26 +95,25 @@ class DividedDifferenceResult:
             raise ValueError("divided difference is not finite")
 
 
-def _check_distinct(x: np.ndarray) -> None:
-    m = x.size
-    for i in range(m):
-        for j in range(i + 1, m):
-            if x[i] == x[j]:
-                raise SingularNodesError(
-                    f"coincident nodes at positions {i} and {j} (value {x[i]!r})"
-                )
+def _denominators(x: np.ndarray) -> np.ndarray:
+    """d_i of distinct nodes x, in x's precision: row i of the symmetric signed
+    differences x_min(i,j) - x_max(i,j), multiplied in index order."""
+    same = np.argwhere(np.triu(x[:, None] == x[None, :], 1))
+    if same.size:
+        i, j = same[0]
+        raise SingularNodesError(
+            f"coincident nodes at positions {i} and {j} (value {np.float64(x[i])!r})"
+        )
+    up = np.triu(x[:, None] - x[None, :], 1)
+    d = np.ones_like(x)
+    for column in up + up.T + np.eye(x.size, dtype=x.dtype):
+        d *= column
+    return d
 
 
 def denominators(nl: NodeList) -> np.ndarray:
     """All l+1 denominators d_i of a distinct node list."""
-    x = np.asarray(nl.nodes, dtype=float)
-    _check_distinct(x)
-    diff = x[:, None] - x[None, :]
-    m = x.size
-    d = np.empty(m)
-    for i in range(m):
-        d[i] = np.prod(diff[:i, i]) * np.prod(diff[i, i + 1 :])
-    return d
+    return _denominators(np.asarray(nl.nodes, dtype=float))
 
 
 def _neumaier_sum(values) -> np.longdouble:
@@ -139,21 +138,9 @@ def c_closed(nl: NodeList, n: int) -> float:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    x = np.asarray(nl.nodes, dtype=float)
-    _check_distinct(x)
-    xl = x.astype(np.longdouble)
-    m = x.size
-    if m == 1:
-        # zero-length product convention: d_1 = 1
-        return float(xl[0] ** n)
-    terms = []
-    for i in range(m):
-        d = np.longdouble(1.0)
-        for j in range(m):
-            if j == i:
-                continue
-            d *= (xl[i] - xl[j]) if j > i else (xl[j] - xl[i])
-        terms.append(((-1.0) ** i) * xl[i] ** n / d)
+    xl = np.asarray(nl.nodes, dtype=np.longdouble)
+    d = _denominators(xl)
+    terms = [((-1.0) ** i) * xl[i] ** n / d[i] for i in range(xl.size)]
     return float(_neumaier_sum(terms))
 
 
@@ -172,12 +159,14 @@ def _series(nodes: np.ndarray, t):
     h_k(u_0..u_j) are the running sum over j of u_j h_{k-1}(u_0..u_j), so
     each term is one product and m - 1 additions over the whole batch, added
     to S in the same pass.  Every row sums k = 0..SERIES_TERMS, so its value
-    and bound depend on its own nodes and time alone, not on its batch.
+    and bound depend on its own nodes, in their order, and time alone, not
+    on its batch.  mu and the radius come from halved nodes, which do not
+    overflow; halving is exact for |x| >= 2^-1021.
     """
     m = nodes.shape[1]
     xt = np.ascontiguousarray(nodes.T)  # one column per row: fast reductions
-    lo, hi = xt.min(axis=0), xt.max(axis=0)
-    mu = (lo + hi) / 2.0
+    lo, hi = xt.min(axis=0) / 2.0, xt.max(axis=0) / 2.0  # halved: no overflow
+    mu = lo + hi
     u = t * (xt - mu)
     h = np.ones(u.shape)
     S = np.ones(u.shape[1], dtype=complex)
@@ -189,7 +178,7 @@ def _series(nodes: np.ndarray, t):
         c /= m - 1 + k
         S += (c * (1, -1j, -1, 1j)[k % 4]) * h[-1]  # (-i)^k
     pref = (-1j * t) ** (m - 1) / math.factorial(m - 1)
-    rho = np.abs(t) * (hi - lo) / 2.0
+    rho = np.abs(t) * (hi - lo)
     err = np.abs(pref) * _EPS * ((m + SERIES_TERMS + 1) * np.exp(rho) + np.abs(mu * t))
     return np.exp(-1j * mu * t) * pref * S, err
 
@@ -211,7 +200,7 @@ def _squared_series(srt: np.ndarray, t: float, rho: np.ndarray):
     """
     B, m = srt.shape
     steps = np.ceil(np.log2(rho / SERIES_RADIUS)).astype(int)
-    mid = (srt[:, 0] + srt[:, -1]) / 2.0
+    mid = srt[:, 0] / 2.0 + srt[:, -1] / 2.0
     # sorted evens, then sorted odds: every sub-list of two or more nodes
     # spans much of the range, where exp(-i x t) has small divided
     # differences, so the squarings' sums of products cancel little
@@ -249,11 +238,14 @@ def dd_exp_batch(nodes: np.ndarray, t: float):
     * larger rho: the centred series at t / 2^s over every sub-list,
       s = ceil(log2(rho / SERIES_RADIUS)), and s squarings of that table.
 
-    Each row's value and bound depend on its own nodes and t alone.  The
-    confluent flag only reports the row; it picks no kernel.  The error
-    bound is absolute, in the value's units, and includes the phase error
-    eps |x t| of the exponentials.  With m > 1 nodes at t = 0 every row is
-    the divided difference of a constant: exactly 0, bound 0.
+    Every kernel takes the row sorted, so each row's value, flag and bound
+    are bitwise functions of its node multiset and t alone.  Midpoints,
+    spreads and gaps come from halved nodes, so finite nodes near the float
+    range give finite values.  The confluent flag only reports the row; it
+    picks no kernel.  The error bound is absolute, in the value's units, and
+    includes the phase error eps |x t| of the exponentials.  With m > 1
+    nodes at t = 0 every row is the divided difference of a constant:
+    exactly 0, bound 0.
     """
     nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
     B, m = nodes.shape
@@ -272,16 +264,16 @@ def dd_exp_batch(nodes: np.ndarray, t: float):
     srt = np.sort(nodes, axis=1)
     st = np.ascontiguousarray(srt.T)  # one column per row: fast reductions
     lo, hi = st[0], st[-1]
-    min_gap = np.diff(st, axis=0).min(axis=0)
+    half = st / 2.0  # gaps and spreads of halved nodes do not overflow
     scale = np.maximum(np.maximum(np.abs(lo), np.abs(hi)), 1.0)  # max |x|, at least 1
-    clustered = min_gap <= CLUSTER_RTOL * scale
+    clustered = np.diff(half, axis=0).min(axis=0) <= CLUSTER_RTOL / 2.0 * scale
     if t == 0.0:
         return values, clustered, errs
 
-    rho = abs(t) * (hi - lo) / 2.0
+    rho = abs(t) * (half[-1] - half[0])
     near = rho <= SERIES_RADIUS
     if np.any(near):
-        values[near], errs[near] = _series(nodes[near], t)
+        values[near], errs[near] = _series(srt[near], t)
     far = ~near
     if np.any(far):
         values[far], errs[far] = _squared_series(srt[far], t, rho[far])

@@ -192,9 +192,10 @@ def _third_order_contractions(energies, coupling, t):
 
         cc = P o g o W,   cn[a, c] = g[a, c] V[a, c],   nc[a, b] = g[a, b] V[b, a],
 
-    V[x, y] = sum_z W[x, z] F[x; y, z].  Each row lists its indices sorted,
-    as _tuple_sum lists them, so each value is bitwise the tuple route's;
-    pattern_piece_matrix stays the independent check of the three pieces.
+    V[x, y] = sum_z W[x, z] F[x; y, z].  A divided difference is symmetric in
+    its nodes, and dd_exp_batch gives every ordering of a row the same bits,
+    so each value is bitwise the tuple route's; pattern_piece_matrix stays
+    the independent check of the three pieces.
     The triple rows go to dd_exp_batch in blocks of the doubled level x, at
     most TUPLES_PER_CALL rows a call but at least one level, and the pair
     rows with the first block, so a call holds O(D^2) rows.  The first call
@@ -219,7 +220,7 @@ def _third_order_contractions(energies, coupling, t):
         x = np.arange(start, stop)[:, None]
         ys, zs = y + (y >= x), z + (z >= x)
         xs = np.broadcast_to(x, ys.shape)
-        triples = np.sort(np.stack((xs, xs, ys, zs), axis=-1).reshape(-1, 4), axis=1)
+        triples = np.stack((xs, xs, ys, zs), axis=-1).reshape(-1, 4)
         rows = pairs if start == 0 else pairs[:0]
         vals, _, _ = dd_exp_batch(energies[np.concatenate((rows, triples))], t)
         if start == 0:

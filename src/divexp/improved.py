@@ -165,6 +165,11 @@ def revision_energies(m: RedividedHamiltonian, max_order: int = 5) -> RevisionEn
     vanishes); it is row a - 2 of ``G``.  All values are real for a Hermitian
     coupling.  Raises DegeneracyError when two shifted levels lie within
     default_gap_tol(m), and ValueError for max_order < 2 or a diverged term.
+    Past the nearest branch point the sums are finite and wrong before any
+    term diverges, and nothing warns: levels 0 and 1 coupled by |V| = 1 give
+    level 0 the energies 0.0, 3.0 and 3760.0 at max_order 5, 9 and 21,
+    against the exact -0.618.  No error bound is reported yet (ROADMAP item
+    4 derives one from Kato's radius).
     """
     return _revision_series(m, max_order)[0]
 
@@ -366,7 +371,8 @@ def improved_energy(m: SplitHamiltonian, level: int, max_order: int = 5) -> floa
 
     The scheme's own first- and second-order residual corrections vanish, so
     the sum E'_level + G^(2..max_order) already carries the high-order
-    content.  Any max_order >= 2 is accepted, as in revision_energies.
+    content.  Any max_order >= 2 is accepted, as in revision_energies; past
+    the nearest branch point the sum is finite and wrong, with no warning.
     """
     red = redivide(m)
     if not 0 <= level < red.dim:

@@ -192,8 +192,8 @@ def _algebra_top_row(energies, coupling, L, t):
 
     An element X of the algebra is its blocks X_0..X_L; tA has the diagonal
     block 0 -i t diag(E - c) and block 1 -i t g.  The levels are centred by
-    c = (max E + min E) / 2, and the scalar phase exp(-i t c) multiplies the
-    row at the end.
+    c = max E / 2 + min E / 2, which does not overflow, and the scalar phase
+    exp(-i t c) multiplies the row at the end.
 
     The bound: ||X|| = sum_k ||X_k||_1 / nu^k, with nu = |t| ||g||_1, is
     submultiplicative for every nu > 0, and ||tA|| <= theta = |t| r + 1 with
@@ -209,7 +209,7 @@ def _algebra_top_row(energies, coupling, L, t):
     entry of E_k that no walk of k coupling steps reaches stays exactly 0.
     """
     dim = energies.size
-    c = (energies.max() + energies.min()) / 2.0
+    c = energies.max() / 2.0 + energies.min() / 2.0
     theta = abs(t) * float(energies.max() - c) + 1.0
     if not math.isfinite(theta):
         raise ValueError("t times the level spread overflows")

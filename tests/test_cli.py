@@ -363,7 +363,14 @@ def test_demo(capsys):
     assert "-0.00990000" in text
 
 
-def test_bench_small(tmp_path):
+def test_bench_small(tmp_path, monkeypatch):
+    calls = []
+    eigensolve = propagator.oracle_eigensolve
+    monkeypatch.setattr(
+        propagator,
+        "oracle_eigensolve",
+        lambda m, t: calls.append(m.dim) or eigensolve(m, t),
+    )
     out = tmp_path / "bench.csv"
     rc = run_cli(["bench", "--dims", "3,4", "--orders", "2,3", "--seed", "1",
                   "--out", str(out)])
@@ -376,6 +383,7 @@ def test_bench_small(tmp_path):
         assert cells[2] == "block"
         float(cells[3])
         float(cells[4])
+    assert calls == [3, 4]  # one eigensolve per dim
 
 
 def test_bench_reports_a_pair_past_the_block_budget(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -147,16 +148,21 @@ def test_dd_exp_triple_repeat():
 @given(
     st.integers(min_value=0, max_value=2**32 - 1),
     st.integers(min_value=2, max_value=7),
+    st.sampled_from(["spread", "repeat", "close pair"]),
+    st.sampled_from([3.0, 30.0]),
 )
-def test_dd_exp_permutation_symmetry(seed, m):
+def test_dd_exp_permutation_symmetry(seed, m, shape, t_max):
+    # value, flag and bound are bitwise functions of the node multiset and t,
+    # within the radius (|t| <= 3 mostly) and past it (|t| up to 30)
     rng = np.random.default_rng(seed)
     x = rng.uniform(-1.0, 1.0, size=m)
-    t = float(rng.uniform(-3.0, 3.0))
-    base = dd_exp(NodeList(tuple(x)), t).value
-    for _ in range(4):
-        perm = rng.permutation(m)
-        other = dd_exp(NodeList(tuple(x[perm])), t).value
-        assert abs(other - base) < 1e-10
+    if shape == "repeat":
+        x[-1] = x[0]
+    elif shape == "close pair":
+        x[-1] = x[0] + 1e-9
+    t = float(rng.uniform(-t_max, t_max))
+    vals, flags, errs = dd_exp_batch(x[list(itertools.permutations(range(m)))], t)
+    assert np.all(vals == vals[0]) and np.all(errs == errs[0]) and np.all(flags == flags[0])
 
 
 def test_dd_exp_confluent_consistency(rng):
@@ -220,6 +226,24 @@ def test_one_node_bound_covers_the_phase_error():
     err = abs(vals[0] - mp_dd_exp([x], t))
     assert err > 1e-14 and not flags[0]
     assert err <= errs[0] == _EPS * (1.0 + abs(x * t))
+
+
+def test_nodes_near_the_float_range_stay_within_their_bounds():
+    # midpoints, spreads and gaps of such nodes overflow unless taken from
+    # halved nodes; same-sign and opposite-sign rows, within the radius and
+    # past it, and a repeated node
+    rows = (
+        ([1e308, 1e308], 1e-300),
+        ([1.6e308, 1.7e308], 1e-307),
+        ([-1.7e308, -1.6e308], 1e-300),
+        ([-1e308, 1e308], 1e-308),
+        ([-1.7e308, 1.7e308], 1e-300),
+    )
+    for x, t in rows:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            r = dd_exp(NodeList(tuple(x)), t)
+        assert abs(r.value - mp_dd_exp(x, t)) <= r.est_error, (x, t)
 
 
 def test_cluster_flags_match_a_per_row_gap_test(rng):

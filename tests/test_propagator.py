@@ -24,6 +24,7 @@ from divexp import (
     truncated_propagator,
 )
 from divexp import propagator
+from divexp.coeff import dd_exp_batch
 from divexp.propagator import (
     MAX_AUTO_ORDER,
     _tail_bound,
@@ -172,6 +173,18 @@ def test_series_term_rejects_a_time_past_the_float_range():
     g = np.array([[0.0, 0.1], [0.1, 0.0]])
     with pytest.raises(ValueError, match="^t times the level spread overflows$"):
         series_order_matrix([0.0, 1e300], g, 2, 1e10)
+
+
+def test_series_term_at_levels_near_the_float_range():
+    # the centre of levels near 1.7e308 is finite, and the order-1 term is
+    # g o F with F[a, b] = f[E_a, E_b]
+    e = np.array([1.6e308, 1.7e308, 1.65e308])
+    g = 1e10 * np.array([[0, 1, 2], [1, 0, 1], [2, 1, 0]], dtype=complex)
+    t = 1e-307
+    a, b = np.indices(g.shape)
+    F = dd_exp_batch(e[np.stack((a, b), axis=-1).reshape(-1, 2)], t)[0]
+    T = series_order_matrix(e, g, 1, t)
+    assert np.max(np.abs(T - g * F.reshape(g.shape))) <= 1e-14 * np.max(np.abs(T))
 
 
 def test_truncated_propagator_order_zero(small_redivided):

@@ -118,6 +118,19 @@ def test_the_tuple_sum_serves_only_the_reference_pieces():
     assert used == ["contraction.pattern_piece_matrix"]
 
 
+def test_the_block_budget_has_one_owner():
+    # only propagator sizes the block exponential and refuses past the cap
+    names = {"_block_side", "MAX_BLOCK_SIDE"}
+    used = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Name) and node.id in names) or (
+                isinstance(node, ast.Attribute) and node.attr in names
+            ):
+                used.add(path.stem)
+    assert used == {"propagator"}
+
+
 def test_oracles_import_only_classes_from_divexp():
     # an oracle that called divexp code would check the engine against itself
     tree = ast.parse((TESTS / "oracles.py").read_text())
