@@ -161,7 +161,9 @@ def _series(nodes: np.ndarray, t):
     to S in the same pass.  Every row sums k = 0..SERIES_TERMS, so its value
     and bound depend on its own nodes, in their order, and time alone, not
     on its batch.  mu and the radius come from halved nodes, which do not
-    overflow; halving is exact for |x| >= 2^-1021.
+    overflow; halving is exact for |x| >= 2^-1021.  The bound adds 2^-1074
+    per rounded operation, at most 2 (m + 3) (SERIES_TERMS + 4), for values
+    that underflow.
     """
     m = nodes.shape[1]
     xt = np.ascontiguousarray(nodes.T)  # one column per row: fast reductions
@@ -180,9 +182,11 @@ def _series(nodes: np.ndarray, t):
     pref = (-1j * t) ** (m - 1) / math.factorial(m - 1)
     rho = np.abs(t) * (hi - lo)
     err = np.abs(pref) * _EPS * ((m + SERIES_TERMS + 1) * np.exp(rho) + np.abs(mu * t))
+    err += 2 * (m + 3) * (SERIES_TERMS + 4) * math.ulp(0.0)
     return np.exp(-1j * mu * t) * pref * S, err
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _squared_series(srt: np.ndarray, t: float, rho: np.ndarray):
     """Divided differences of exp(-i x t) per row of sorted nodes (B, m) of
     radius rho > SERIES_RADIUS, with bounds, by squaring a scaled table.
@@ -196,7 +200,9 @@ def _squared_series(srt: np.ndarray, t: float, rho: np.ndarray):
     gamma = (m + 2) u / (1 - (m + 2) u), u = eps / 2 (Higham, Accuracy and
     Stability of Numerical Algorithms, 2nd ed., section 3.6).  With
     A = |F + D| the new bound is therefore (gamma A + E) A + (A + E) E:
-    nonnegative terms, rounded by a few eps.
+    nonnegative terms, rounded by a few eps.  Past about rho = 1e17 they
+    overflow; a row whose bound is nan or not below |t|^(m-1) / (m-1)!
+    (Hermite-Genocchi's bound on |f[x]|) returns 0 within the latter.
     """
     B, m = srt.shape
     steps = np.ceil(np.log2(rho / SERIES_RADIUS)).astype(int)
@@ -220,7 +226,10 @@ def _squared_series(srt: np.ndarray, t: float, rho: np.ndarray):
         E[on] = (gamma * A + Ea) @ A + (A + Ea) @ Ea
         F[on] = Fa @ Fa
     top = F[:, 0, -1]
-    return np.exp(-1j * mid * t) * top, E[:, 0, -1] + _EPS * np.abs(mid * t * top)
+    err = E[:, 0, -1] + _EPS * np.abs(mid * t * top)
+    cap = np.float64(abs(t)) ** (m - 1) / math.factorial(m - 1)
+    ok = err < cap  # false where err is nan or no digit is left
+    return np.where(ok, np.exp(-1j * mid * t) * top, 0.0), np.where(ok, err, cap)
 
 
 def dd_exp_batch(nodes: np.ndarray, t: float):

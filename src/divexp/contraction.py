@@ -196,37 +196,32 @@ def _third_order_contractions(energies, coupling, t):
     its nodes, and dd_exp_batch gives every ordering of a row the same bits,
     so each value is bitwise the tuple route's; pattern_piece_matrix stays
     the independent check of the three pieces.
-    The triple rows go to dd_exp_batch in blocks of the doubled level x, at
-    most TUPLES_PER_CALL rows a call but at least one level, and the pair
-    rows with the first block, so a call holds O(D^2) rows.  The first call
-    is made even when it has no row, so a non-finite t always raises.
+    A dd_exp_batch call takes max(1, TUPLES_PER_CALL // C(D, 2)) whole
+    doubled levels x, each with its rows F[x; y, z] and P[x, b], b > x: at
+    most C(D, 2) rows a level.  At D = 1 the one call has no row, and a
+    non-finite t still raises.
     """
     dim = energies.size
     w = coupling * coupling.T
     a, b = np.triu_indices(dim, 1)
-    pairs = np.column_stack((a, a, b, b))
     # the pairs y < z of the other levels of x, from those of 0 .. D - 2
     y, z = np.triu_indices(dim - 1, 1)
-    per_call = propagator.TUPLES_PER_CALL
-    first, step = (
-        (max(1, (per_call - len(pairs)) // y.size), max(1, per_call // y.size))
-        if y.size
-        else (dim, dim)
-    )
-    bounds = [0, *range(first, dim, step), dim]
+    step = max(1, propagator.TUPLES_PER_CALL // max(a.size, 1))
     P = np.zeros((dim, dim), dtype=complex)
     V = np.empty((dim, dim), dtype=complex)
-    for start, stop in zip(bounds[:-1], bounds[1:]):
+    for start in range(0, dim, step):
+        stop = min(start + step, dim)
         x = np.arange(start, stop)[:, None]
         ys, zs = y + (y >= x), z + (z >= x)
         xs = np.broadcast_to(x, ys.shape)
         triples = np.stack((xs, xs, ys, zs), axis=-1).reshape(-1, 4)
-        rows = pairs if start == 0 else pairs[:0]
-        vals, _, _ = dd_exp_batch(energies[np.concatenate((rows, triples))], t)
-        if start == 0:
-            P[a, b] = P[b, a] = vals[: len(pairs)]
+        lo, hi = np.searchsorted(a, (start, stop))  # a is sorted
+        pa, pb = a[lo:hi], b[lo:hi]
+        pairs = np.column_stack((pa, pa, pb, pb))
+        vals, _, _ = dd_exp_batch(energies[np.concatenate((pairs, triples))], t)
+        P[pa, pb] = P[pb, pa] = vals[: pa.size]
         F = np.zeros((stop - start, dim, dim), dtype=complex)
-        block = vals[len(rows) :].reshape(ys.shape)
+        block = vals[pa.size :].reshape(ys.shape)
         F[x - start, ys, zs] = F[x - start, zs, ys] = block
         V[start:stop] = np.einsum("xz,xyz->xy", w[start:stop], F)
     return P * coupling * w, coupling * V, coupling * V.T

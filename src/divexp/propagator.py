@@ -51,7 +51,7 @@ from .model import RedividedHamiltonian, SplitHamiltonian, StateVector
 MAX_BLOCK_SIDE = 2048
 MAX_AUTO_ORDER = 16
 # tuple ids per dd_exp_batch call in _tuple_sum, and node rows per call in
-# contraction._third_order_contractions past one level: bounds their memory
+# contraction._third_order_contractions (or one level): bounds their memory
 TUPLES_PER_CALL = 4096
 
 
@@ -341,19 +341,15 @@ def _step(energies, coupling, L, dt, g_norm, uses=1):
     one exponential of side (m+1) D that _block_top_row takes: truncating
     the orders is a quotient of the algebra, so those blocks are the first
     m + 1 of the order-L row.  Entry (a (L+1) + i, b (L+1) + j) is
-    E_{j-i}(dt)[a, b] for 0 <= j - i <= m and 0 otherwise, laid out by one
-    gather from the row and a zero block.
+    E_{j-i}(dt)[a, b] for 0 <= j - i <= m and 0 otherwise: block k fills
+    the entries with j - i = k of a zero array, one write per block.
     """
     dim = energies.size
     m = _step_order(g_norm * abs(dt), L, uses)
-    blocks = np.concatenate(
-        [_block_top_row(energies, coupling, m, dt), np.zeros((1, dim, dim), complex)]
-    )
-    lag = np.arange(L + 1) - np.arange(L + 1)[:, None]  # j - i
-    lag[(lag < 0) | (lag > m)] = m + 1
-    a = np.arange(dim)[:, None, None, None]
-    b = np.arange(dim)[:, None]
-    return blocks[lag[:, None, :], a, b].reshape((L + 1) * dim, (L + 1) * dim)
+    out = np.zeros((dim, L + 1, dim, L + 1), dtype=complex)
+    for k, block in enumerate(_block_top_row(energies, coupling, m, dt)):
+        out[:, range(L + 1 - k), :, range(k, L + 1)] = block
+    return out.reshape((L + 1) * dim, (L + 1) * dim)
 
 
 def evolve(m: RedividedHamiltonian, psi0: StateVector, times, L: int) -> EvolutionResult:

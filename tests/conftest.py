@@ -13,11 +13,19 @@ def random_offdiag_model(rng, dim, energy_spread=3.0, coupling=0.3, min_gap=0.3)
     """Random split with strictly off-diagonal Hermitian coupling.
 
     The levels are redrawn until every gap is at least ``min_gap``; after
-    MAX_LEVEL_DRAWS draws without one, ValueError.
+    MAX_LEVEL_DRAWS draws without one, ValueError.  The draws are made 4096
+    at a time, and the generator is then put back where drawing one level
+    set at a time would leave it, so the models are those of that loop.
     """
-    for _ in range(MAX_LEVEL_DRAWS):
-        base = np.sort(rng.uniform(0.0, energy_spread, size=dim))
-        if dim == 1 or np.min(np.diff(base)) >= min_gap:
+    for start in range(0, MAX_LEVEL_DRAWS, 4096):
+        state = rng.bit_generator.state
+        size = (min(4096, MAX_LEVEL_DRAWS - start), dim)
+        draws = np.sort(rng.uniform(0.0, energy_spread, size=size), axis=1)
+        good = np.flatnonzero(np.all(np.diff(draws, axis=1) >= min_gap, axis=1))
+        if good.size:
+            rng.bit_generator.state = state
+            rng.bit_generator.advance(int(good[0] + 1) * dim)
+            base = draws[good[0]]
             break
     else:
         raise ValueError(

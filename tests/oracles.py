@@ -217,13 +217,14 @@ def oracle_block_order(m: RedividedHamiltonian, l: int, t: float) -> np.ndarray:
     return scipy.linalg.expm(-1j * t * H)[0 :: l + 1, l :: l + 1] * nu**l
 
 
-def mp_dd_exp(nodes, t: float) -> complex:
-    """Divided difference of exp(-i x t) over the nodes, to 40 digits.
+def mp_dd_exp(nodes, t: float, dps: int = 40) -> complex:
+    """Divided difference of exp(-i x t) over the nodes, to dps digits.
 
     The top-right entry of the mpmath expm of -i t (diag(x) + superdiag(1)),
-    which holds for repeated and clustered nodes alike.
+    which holds for repeated and clustered nodes alike.  expm's squarings
+    lose about log10 |t (x - x')| digits, so a large t needs a larger dps.
     """
-    with mpmath.workdps(40):
+    with mpmath.workdps(dps):
         m = len(nodes)
         tt = mpmath.mpf(float(t))
         A = mpmath.zeros(m, m)

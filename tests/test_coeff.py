@@ -231,19 +231,41 @@ def test_one_node_bound_covers_the_phase_error():
 def test_nodes_near_the_float_range_stay_within_their_bounds():
     # midpoints, spreads and gaps of such nodes overflow unless taken from
     # halved nodes; same-sign and opposite-sign rows, within the radius and
-    # past it, and a repeated node
-    rows = (
+    # past it, and a repeated node.  The random rows at t in [1e-318, 1e-305]
+    # have subnormal values, which a bound relative to the value alone would
+    # round to 0
+    rows = [
         ([1e308, 1e308], 1e-300),
         ([1.6e308, 1.7e308], 1e-307),
         ([-1.7e308, -1.6e308], 1e-300),
         ([-1e308, 1e308], 1e-308),
         ([-1.7e308, 1.7e308], 1e-300),
-    )
+        ([-3.1e301, -8.2e300], 3.9e-309),
+    ]
+    rng = np.random.default_rng(1)
+    nodes = 1e308 * rng.uniform(-1.0, 1.0, size=(300, 2))
+    rows += zip(nodes.tolist(), 10 ** rng.uniform(-318.0, -305.0, size=300))
     for x, t in rows:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             r = dd_exp(NodeList(tuple(x)), t)
         assert abs(r.value - mp_dd_exp(x, t)) <= r.est_error, (x, t)
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 6])
+def test_rows_far_past_the_radius_keep_a_finite_bound(m):
+    # past rho ~ 1e17 the squared table's bound overflows, and then the
+    # table itself; such a row falls back on |f[x]| <= |t|^(m-1) / (m-1)!,
+    # which is inf only where that overflows
+    x = np.arange(m, dtype=float)
+    for t in (1e16, 1.5e17, 1e150, -1e150):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            r = dd_exp(NodeList(tuple(x)), t)
+        assert r.est_error >= 0.0
+        assert abs(r.value - mp_dd_exp(x, t, dps=200)) <= r.est_error, (m, t)
+        if (m - 1) * math.log10(abs(t)) < 300:  # |t|^(m-1) / (m-1)! is finite
+            assert math.isfinite(r.est_error), (m, t)
 
 
 def test_cluster_flags_match_a_per_row_gap_test(rng):

@@ -308,14 +308,15 @@ def test_shared_table_does_not_depend_on_its_blocks(rng, monkeypatch):
                 assert np.array_equal(a, b), (dim, t)
 
 
-def test_shared_table_calls_hold_at_most_two_levels_of_rows(rng, monkeypatch):
-    # past TUPLES_PER_CALL a call still takes one whole level, and the first
-    # call takes the pair rows too: C(D, 2) + C(D - 1, 2) < 2 C(D, 2)
+def test_shared_table_calls_hold_at_most_one_level_of_rows(rng, monkeypatch):
+    # past TUPLES_PER_CALL a call takes one whole level x: its C(D - 1, 2)
+    # triple rows and its D - 1 - x pair rows, at most C(D, 2) rows
     calls = _count_table_calls(monkeypatch)
     dim = 100
     e, g = _level_pair_model(rng, dim, "sparse", False)
     _third_order_contractions(e, g, 1.0)
-    assert max(calls) <= 2 * math.comb(dim, 2) == 9900
+    assert math.comb(dim, 2) > propagator.TUPLES_PER_CALL
+    assert max(calls) <= math.comb(dim, 2) == 4950
     assert sum(calls) == math.comb(dim, 2) + dim * math.comb(dim - 1, 2)
 
 

@@ -18,6 +18,7 @@ from divexp import (
     redivide,
     require_nondegenerate,
 )
+from divexp.model import HERMITICITY_RTOL
 
 
 def as_pairs(mat):
@@ -122,6 +123,22 @@ def test_redivision_reconstructs_total_exactly(dim, seed):
     r2 = redivide(m2)
     assert np.array_equal(r2.shifted_energies, r.shifted_energies)
     assert np.array_equal(r2.offdiagonal, r.offdiagonal)
+
+
+def test_stored_perturbation_diagonal_is_exactly_real(rng):
+    # (V + V^H) / 2 has diagonal imaginary parts b + (-b) = 0 for finite V,
+    # so redivision needs no check that the diagonal is real: perturbation
+    # scales from 1e-320 to 1e300, imaginary diagonal parts up to what the
+    # Hermiticity check accepts, and redivide rebuilds total() exactly
+    for _ in range(2000):
+        dim = int(rng.integers(1, 7))
+        h = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        h = 10.0 ** rng.uniform(-320.0, 300.0) * (h + h.conj().T) / 2.0
+        tol = HERMITICITY_RTOL * max(np.max(np.abs(h)), 1.0)
+        h[np.diag_indices(dim)] += 0.5j * tol * rng.uniform(-1.0, 1.0, size=dim)
+        m = SplitHamiltonian(energies=rng.standard_normal(dim), perturbation=h)
+        assert np.all(np.diag(m.perturbation).imag == 0)
+        assert np.array_equal(redivide(m).total(), m.total())
 
 
 def test_require_nondegenerate():
