@@ -163,7 +163,7 @@ def _series(nodes: np.ndarray, t):
     on its batch.  mu and the radius come from halved nodes, which do not
     overflow; halving is exact for |x| >= 2^-1021.  The bound adds 2^-1074
     per rounded operation, at most 2 (m + 3) (SERIES_TERMS + 4), for values
-    that underflow.
+    that underflow; overflow leaves inf or nan for dd_exp_batch's cap.
     """
     m = nodes.shape[1]
     xt = np.ascontiguousarray(nodes.T)  # one column per row: fast reductions
@@ -179,14 +179,16 @@ def _series(nodes: np.ndarray, t):
             h[j] += h[j - 1]
         c /= m - 1 + k
         S += (c * (1, -1j, -1, 1j)[k % 4]) * h[-1]  # (-i)^k
-    pref = (-1j * t) ** (m - 1) / math.factorial(m - 1)
+    try:  # Python's complex ** raises where numpy's would give inf
+        pref = (-1j * t) ** (m - 1) / math.factorial(m - 1)
+    except OverflowError:
+        pref = math.inf
     rho = np.abs(t) * (hi - lo)
     err = np.abs(pref) * _EPS * ((m + SERIES_TERMS + 1) * np.exp(rho) + np.abs(mu * t))
     err += 2 * (m + 3) * (SERIES_TERMS + 4) * math.ulp(0.0)
     return np.exp(-1j * mu * t) * pref * S, err
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def _squared_series(srt: np.ndarray, t: float, rho: np.ndarray):
     """Divided differences of exp(-i x t) per row of sorted nodes (B, m) of
     radius rho > SERIES_RADIUS, with bounds, by squaring a scaled table.
@@ -201,8 +203,7 @@ def _squared_series(srt: np.ndarray, t: float, rho: np.ndarray):
     Stability of Numerical Algorithms, 2nd ed., section 3.6).  With
     A = |F + D| the new bound is therefore (gamma A + E) A + (A + E) E:
     nonnegative terms, rounded by a few eps.  Past about rho = 1e17 they
-    overflow; a row whose bound is nan or not below |t|^(m-1) / (m-1)!
-    (Hermite-Genocchi's bound on |f[x]|) returns 0 within the latter.
+    overflow to inf or nan, which dd_exp_batch's cap then replaces.
     """
     B, m = srt.shape
     steps = np.ceil(np.log2(rho / SERIES_RADIUS)).astype(int)
@@ -226,10 +227,7 @@ def _squared_series(srt: np.ndarray, t: float, rho: np.ndarray):
         E[on] = (gamma * A + Ea) @ A + (A + Ea) @ Ea
         F[on] = Fa @ Fa
     top = F[:, 0, -1]
-    err = E[:, 0, -1] + _EPS * np.abs(mid * t * top)
-    cap = np.float64(abs(t)) ** (m - 1) / math.factorial(m - 1)
-    ok = err < cap  # false where err is nan or no digit is left
-    return np.where(ok, np.exp(-1j * mid * t) * top, 0.0), np.where(ok, err, cap)
+    return np.exp(-1j * mid * t) * top, E[:, 0, -1] + _EPS * np.abs(mid * t * top)
 
 
 def dd_exp_batch(nodes: np.ndarray, t: float):
@@ -249,12 +247,14 @@ def dd_exp_batch(nodes: np.ndarray, t: float):
 
     Every kernel takes the row sorted, so each row's value, flag and bound
     are bitwise functions of its node multiset and t alone.  Midpoints,
-    spreads and gaps come from halved nodes, so finite nodes near the float
-    range give finite values.  The confluent flag only reports the row; it
-    picks no kernel.  The error bound is absolute, in the value's units, and
-    includes the phase error eps |x t| of the exponentials.  With m > 1
-    nodes at t = 0 every row is the divided difference of a constant:
-    exactly 0, bound 0.
+    spreads and gaps come from halved nodes.  The confluent flag only
+    reports the row; it picks no kernel.  The error bound is absolute, in
+    the value's units, and includes the phase error eps |x t|.  Every route
+    runs with overflow let through, and a row whose bound is then nan or not
+    below |t|^(m-1) / (m-1)!, Hermite-Genocchi's bound on |f[x]| rounded up,
+    returns 0 within it: every finite row, one node included, gets a finite
+    value and a nonnegative bound, inf only where that cap overflows.  With
+    m > 1 nodes at t = 0 every row is exactly 0, bound 0.
     """
     nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
     B, m = nodes.shape
@@ -264,28 +264,31 @@ def dd_exp_batch(nodes: np.ndarray, t: float):
     if not np.all(np.isfinite(nodes)):
         raise ValueError("nodes must be finite")
     values = np.zeros(B, dtype=complex)
-    errs = np.zeros(B)
-    if m == 1:
-        values[:] = np.exp(-1j * nodes[:, 0] * t)
-        errs[:] = _EPS * (1.0 + np.abs(nodes[:, 0] * t))
-        return values, np.zeros(B, dtype=bool), errs
-
     srt = np.sort(nodes, axis=1)
     st = np.ascontiguousarray(srt.T)  # one column per row: fast reductions
     lo, hi = st[0], st[-1]
     half = st / 2.0  # gaps and spreads of halved nodes do not overflow
     scale = np.maximum(np.maximum(np.abs(lo), np.abs(hi)), 1.0)  # max |x|, at least 1
-    clustered = np.diff(half, axis=0).min(axis=0) <= CLUSTER_RTOL / 2.0 * scale
-    if t == 0.0:
-        return values, clustered, errs
+    gap = np.diff(half, axis=0).min(axis=0, initial=np.inf)  # inf for one node
+    clustered = gap <= CLUSTER_RTOL / 2.0 * scale
+    if t == 0.0 and m > 1:
+        return values, clustered, np.zeros(B)
 
-    rho = abs(t) * (half[-1] - half[0])
-    near = rho <= SERIES_RADIUS
-    if np.any(near):
-        values[near], errs[near] = _series(srt[near], t)
-    far = ~near
-    if np.any(far):
-        values[far], errs[far] = _squared_series(srt[far], t, rho[far])
+    errs = np.full(B, np.inf)  # kept, and capped, where rho overflows: no route
+    with np.errstate(over="ignore", invalid="ignore"):
+        rho = abs(t) * (half[-1] - half[0])
+        near, far = rho <= SERIES_RADIUS, (SERIES_RADIUS < rho) & (rho < np.inf)
+        if m == 1:
+            values[:] = np.exp(-1j * nodes[:, 0] * t)
+            errs[:] = _EPS * (1.0 + np.abs(nodes[:, 0] * t))
+        elif np.any(near):
+            values[near], errs[near] = _series(srt[near], t)
+        if np.any(far):
+            values[far], errs[far] = _squared_series(srt[far], t, rho[far])
+        cap = np.float64(abs(t)) ** (m - 1) / math.factorial(m - 1)
+        cap += m * (_EPS * cap + math.ulp(0.0))  # rounded up, never 0
+        bad = ~(errs < cap)  # the bound is nan or leaves no digit
+        values[bad], errs[bad] = 0.0, cap
     return values, clustered, errs
 
 

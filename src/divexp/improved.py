@@ -314,7 +314,9 @@ def revised_golden_rule(
     the initial level does; the correction integral runs over the tabulated
     window via trapezoid sums with Richardson refinement to a relative
     change of REL_TOL, halving the step at most MAX_REFINE times.  With no
-    other level both rates are 0.
+    other level both rates are 0.  The shift has a pole at every other
+    level, so a level whose shifted energy lies in the closed density window
+    raises GoldenRuleError naming it, before any quadrature.
     """
     if not (math.isfinite(T) and T > 0):
         raise GoldenRuleError(f"T must be finite and positive, got {T}")
@@ -338,6 +340,12 @@ def revised_golden_rule(
         raise GoldenRuleError(
             f"density window [{rho_e[0]:g}, {rho_e[-1]:g}] does not contain the "
             f"initial level energy {e_beta:g}"
+        )
+    poles = [k for k in range(dim) if k != from_level and rho_e[0] <= e[k] <= rho_e[-1]]
+    if poles:
+        raise GoldenRuleError(
+            f"levels {poles} lie in the density window [{rho_e[0]:g}, {rho_e[-1]:g}]: "
+            "the frequency shift has a pole there"
         )
     # imported here: the rest of divexp needs no scipy.interpolate
     from scipy.interpolate import PchipInterpolator

@@ -51,9 +51,10 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 class SplitHamiltonian:
     """H = H0 + H1 with H0 = diag(energies) known and H1 dense Hermitian.
 
-    The perturbation is symmetrized to (H1 + H1^dagger)/2 at construction;
-    asymmetry beyond ``HERMITICITY_RTOL`` relative to the largest entry is
-    rejected.
+    The perturbation is symmetrized to (H1 + H1^dagger)/2 at construction,
+    halving each term first where their sum overflows, so any finite
+    Hermitian H1 is stored finite; asymmetry beyond ``HERMITICITY_RTOL``
+    relative to the largest entry is rejected.
     """
 
     energies: np.ndarray
@@ -73,12 +74,13 @@ class SplitHamiltonian:
             )
         if not np.all(np.isfinite(v)):
             raise ModelValidationError("perturbation entries must be finite")
-        scale = max(np.max(np.abs(v)), 1.0)
-        asym = np.max(np.abs(v - v.conj().T))
+        q = v / 4.0  # |q - q^H| cannot overflow, and the test is the same in quarters
+        scale = max(float(np.max(np.abs(q))), 0.25)
+        asym = float(np.max(np.abs(q - q.conj().T)))
         if asym > HERMITICITY_RTOL * scale:
             raise ModelValidationError(
-                f"perturbation is not Hermitian: max |V - V^H| = {asym:.3e} "
-                f"exceeds {HERMITICITY_RTOL:g} * {scale:.3e}"
+                f"perturbation is not Hermitian: max |V - V^H| = {4 * asym:.3e} "
+                f"exceeds {HERMITICITY_RTOL:g} * {4 * scale:.3e}"
             )
         if self.labels is not None:
             labels = tuple(str(s) for s in self.labels)
@@ -86,7 +88,11 @@ class SplitHamiltonian:
                 raise ModelValidationError("labels length does not match dim")
             object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "energies", _readonly(e))
-        object.__setattr__(self, "perturbation", _readonly((v + v.conj().T) / 2.0))
+        with np.errstate(over="ignore", invalid="ignore"):
+            h1 = (v + v.conj().T) / 2.0
+        if not np.all(np.isfinite(h1)):  # halved first only where the sum overflows
+            h1 = np.where(np.isfinite(h1), h1, v / 2.0 + v.conj().T / 2.0)
+        object.__setattr__(self, "perturbation", _readonly(h1))
 
     @property
     def dim(self) -> int:

@@ -241,6 +241,13 @@ def test_nodes_near_the_float_range_stay_within_their_bounds():
         ([-1e308, 1e308], 1e-308),
         ([-1.7e308, 1.7e308], 1e-300),
         ([-3.1e301, -8.2e300], 3.9e-309),
+        # no digit left: a phase mu t or x t that overflows, and a cap
+        # |t|^(m-1) / (m-1)! that underflows; each returns 0 within the cap
+        ([1e308, 1e308], 10.0),
+        ([1e308], 10.0),
+        ([1e300], 1e10),
+        ([-1e300, 0.0, 1.0, 1e300], 1e-160),
+        ([0.0, 1.0, 2.0], 1e-200),
     ]
     rng = np.random.default_rng(1)
     nodes = 1e308 * rng.uniform(-1.0, 1.0, size=(300, 2))
@@ -249,7 +256,56 @@ def test_nodes_near_the_float_range_stay_within_their_bounds():
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             r = dd_exp(NodeList(tuple(x)), t)
-        assert abs(r.value - mp_dd_exp(x, t)) <= r.est_error, (x, t)
+        # the phase x t needs its digits before the point on top of 40:
+        # e^(-i 1e309) needs more than 310
+        digits = math.log10(abs(t)) + math.log10(max(1.0, *map(abs, x)))
+        want = mp_dd_exp(x, t, dps=40 + max(0, math.ceil(digits)))
+        # f[x] is not 0 at t != 0, so a bound of 0 would not hold
+        assert 0.0 < r.est_error and abs(r.value - want) <= r.est_error, (x, t)
+
+
+finite_nodes = st.floats(min_value=-1.7e308, max_value=1.7e308)
+
+
+@st.composite
+def node_rows(draw):
+    """One to six nodes anywhere in the float range, each past the first a
+    new node, a repeat of an earlier one or that one plus 1e-9."""
+    size = draw(st.integers(min_value=1, max_value=6))
+    x = [draw(finite_nodes)]
+    while len(x) < size:
+        base = x[draw(st.integers(min_value=0, max_value=len(x) - 1))]
+        x.append(draw(st.one_of(finite_nodes, st.just(base), st.just(base + 1e-9))))
+    return x
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    node_rows(),
+    st.one_of(
+        st.just(0.0),
+        st.floats(min_value=1e-320, max_value=1e300),
+        st.floats(min_value=-1e300, max_value=-1e-320),
+    ),
+)
+# the probes of test_nodes_near_the_float_range_stay_within_their_bounds
+# that returned nan, and a prefactor (-i t)^(m-1) that overflows
+@example([1e308, 1e308], 10.0)
+@example([1e308], 10.0)
+@example([0.0, 0.0, 0.0], 1e200)
+def test_every_finite_row_is_finite_and_bounded(x, t):
+    # |f[x]| <= |t|^(m-1) / (m-1)! (Hermite-Genocchi), so a value within
+    # its bound never exceeds that cap by more than the bound
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        vals, _, errs = dd_exp_batch(np.array([x]), t)
+    m = len(x)
+    if t and (m - 1) * math.log10(abs(t)) > 300:
+        cap = math.inf
+    else:
+        cap = abs(t) ** (m - 1) / math.factorial(m - 1)
+    assert np.isfinite(vals[0]) and errs[0] >= 0.0, (x, t)
+    assert abs(vals[0]) <= cap * (1 + 4 * _EPS) + errs[0], (x, t)
 
 
 @pytest.mark.parametrize("m", [3, 4, 5, 6])

@@ -410,6 +410,21 @@ def test_golden_rule_rejects_non_finite_or_non_positive_T(T):
         revised_golden_rule(toy_golden_model(), 0, toy_density(), T=T)
 
 
+@pytest.mark.parametrize("w", [1.5, 1.37, 2.9, 3.2])
+def test_golden_rule_rejects_a_level_inside_the_window(w):
+    # the shift q has a pole at the other level, at omega = w; inside the
+    # window [-3, 3] the quadrature met it (a non-convergent refinement at
+    # 1.5, finite wrong rates at 1.37 and 2.9), so the window is refused first
+    m = redivide(SplitHamiltonian(energies=[0.0, w], perturbation=[[0, 0.05], [0.05, 0]]))
+    rho = (np.linspace(-3.0, 3.0, 61), np.full(61, 60.0))
+    if w > 3.0:
+        rep = revised_golden_rule(m, 0, rho, T=6.0)
+        assert rep.rate_delta == pytest.approx(-1.8406147790348652e-4, rel=1e-12)
+    else:
+        with pytest.raises(GoldenRuleError, match=r"levels \[1\] lie in the density window"):
+            revised_golden_rule(m, 0, rho, T=6.0)
+
+
 def test_improved_energy_two_state_golden():
     ts = two_state()
     model = ts.to_split_hamiltonian()

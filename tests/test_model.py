@@ -45,9 +45,10 @@ def test_load_zero_perturbation_is_valid():
 
 
 def test_hermiticity_violation_rejected():
-    h1 = [[0, 0.1], [0.2, 0]]
-    with pytest.raises(ModelValidationError):
-        load_model(model_bytes([0.0, 1.0], h1))
+    # the second residue V - V^H overflows: rejected with no overflow warning
+    for h1 in ([[0, 0.1], [0.2, 0]], [[0, 1.7e308], [-1.7e308, 0]]):
+        with pytest.raises(ModelValidationError):
+            load_model(model_bytes([0.0, 1.0], h1))
 
 
 def test_parse_errors():
@@ -137,6 +138,13 @@ def test_stored_perturbation_diagonal_is_exactly_real(rng):
         tol = HERMITICITY_RTOL * max(np.max(np.abs(h)), 1.0)
         h[np.diag_indices(dim)] += 0.5j * tol * rng.uniform(-1.0, 1.0, size=dim)
         m = SplitHamiltonian(energies=rng.standard_normal(dim), perturbation=h)
+        assert np.all(np.diag(m.perturbation).imag == 0)
+        assert np.array_equal(redivide(m).total(), m.total())
+    # V + V^H overflows off and on the diagonal: each term is halved first
+    # there, so the Hermitian V is stored as it is
+    for h in ([[0, 1.7e308], [1.7e308, 0]], [[1.7e308, 0], [0, -1.7e308]]):
+        m = SplitHamiltonian(energies=[0.0, 1.0], perturbation=h)
+        assert np.array_equal(m.perturbation, np.asarray(h, dtype=complex))
         assert np.all(np.diag(m.perturbation).imag == 0)
         assert np.array_equal(redivide(m).total(), m.total())
 

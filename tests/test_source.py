@@ -131,6 +131,20 @@ def test_the_block_budget_has_one_owner():
     assert used == {"propagator"}
 
 
+def test_the_overflow_scope_and_the_cap_have_one_owner():
+    # every route of dd_exp_batch runs in its one overflow scope and meets
+    # its one Hermite-Genocchi cap; the kernels only compute values and bounds
+    names = {"errstate", "cap"}
+    used = set()
+    for top in ast.parse((SRC / "coeff.py").read_text()).body:
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Name) and node.id in names) or (
+                isinstance(node, ast.Attribute) and node.attr in names
+            ):
+                used.add(getattr(top, "name", "<module>"))
+    assert used == {"dd_exp_batch"}
+
+
 def test_oracles_import_only_classes_from_divexp():
     # an oracle that called divexp code would check the engine against itself
     tree = ast.parse((TESTS / "oracles.py").read_text())
