@@ -89,23 +89,22 @@ def cmd_propagate(args) -> int:
     res = propagator.evolve(m, psi0, times, L)
     if args.format == "csv":
         amps = res.amplitudes.ravel()
-        columns = (
-            np.repeat(res.times, m.dim).tolist(),
-            np.tile(np.arange(m.dim), res.times.size).tolist(),
-            amps.real.tolist(),
-            amps.imag.tolist(),
-            # Python's abs: np.abs differs from it in the last bit
-            [abs(c) ** 2 for c in amps.tolist()],
-            np.repeat(res.tail_bounds, m.dim).tolist(),
-        )
-        header = ["t", "gamma", "re_c", "im_c", "prob", "tail_bound"]
-        text = _csv_text(header, list(zip(*columns)))
+        # Python's abs: np.abs differs from it in the last bit
+        prob = [abs(c) ** 2 for c in amps.tolist()]
+        cells = np.column_stack((amps.real, amps.imag, prob)).ravel().tolist()
+        # one row format per time, with its t, levels and tail_bound written
+        # in: each distinct value is formatted once
+        levels = [f",{g},%.17g,%.17g,%.17g," for g in range(m.dim)]
+        ts = ["%.17g" % x for x in res.times.tolist()]
+        bs = ["%.17g" % x for x in res.tail_bounds.tolist()]
+        fmt = "\n".join(t + f"{b}\n{t}".join(levels) + b for t, b in zip(ts, bs))
+        text = "t,gamma,re_c,im_c,prob,tail_bound\n" + fmt % tuple(cells) + "\n"
     else:
         doc = {
             "order_cap": int(L),
-            "times": [float(t) for t in res.times],
+            "times": res.times.tolist(),
             "amplitudes": _complex_pairs(res.amplitudes),
-            "tail_bounds": [float(b) for b in res.tail_bounds],
+            "tail_bounds": res.tail_bounds.tolist(),
         }
         text = _json_text(doc)
     _write_text(args.out, text)
@@ -116,20 +115,12 @@ def cmd_transition(args) -> int:
     m = _load(args)
     times = _times(args)
     rep = improved.improved_transition(m, args.from_level, args.to_level, times)
+    names = ("times", "p_usual", "p_improved", "delta")
+    columns = {k: getattr(rep, k).tolist() for k in names}
     if args.format == "csv":
-        rows = list(zip(rep.times, rep.p_usual, rep.p_improved, rep.delta))
-        text = _csv_text(["t", "p_usual", "p_improved", "delta"], rows)
+        text = _csv_text(["t", *names[1:]], list(zip(*columns.values())))
     else:
-        text = _json_text(
-            {
-                "from": args.from_level,
-                "to": args.to_level,
-                "times": [float(t) for t in rep.times],
-                "p_usual": [float(p) for p in rep.p_usual],
-                "p_improved": [float(p) for p in rep.p_improved],
-                "delta": [float(p) for p in rep.delta],
-            },
-        )
+        text = _json_text({"from": args.from_level, "to": args.to_level, **columns})
     _write_text(args.out, text)
     return 0
 

@@ -179,7 +179,7 @@ def _series(nodes: np.ndarray, t):
             h[j] += h[j - 1]
         c /= m - 1 + k
         S += (c * (1, -1j, -1, 1j)[k % 4]) * h[-1]  # (-i)^k
-    try:  # Python's complex ** raises where numpy's would give inf
+    try:  # Python's complex ** and a float of (m-1)! > 1.8e308 raise, not give inf
         pref = (-1j * t) ** (m - 1) / math.factorial(m - 1)
     except OverflowError:
         pref = math.inf
@@ -203,7 +203,8 @@ def _squared_series(srt: np.ndarray, t: float, rho: np.ndarray):
     Stability of Numerical Algorithms, 2nd ed., section 3.6).  With
     A = |F + D| the new bound is therefore (gamma A + E) A + (A + E) E:
     nonnegative terms, rounded by a few eps.  Past about rho = 1e17 they
-    overflow to inf or nan, which dd_exp_batch's cap then replaces.
+    overflow to inf or nan, which dd_exp_batch's cap then replaces; a row
+    leaves the squarings once its bound does, since it can only stay there.
     """
     B, m = srt.shape
     steps = np.ceil(np.log2(rho / SERIES_RADIUS)).astype(int)
@@ -221,7 +222,9 @@ def _squared_series(srt: np.ndarray, t: float, rho: np.ndarray):
         F[:, i, i + k - 1], E[:, i, i + k - 1] = vals.reshape(B, -1), errs.reshape(B, -1)
     gamma = (m + 2) * _EPS / (2.0 - (m + 2) * _EPS)
     for step in range(steps.max()):
-        on = steps > step
+        on = (steps > step) & np.isfinite(E[:, 0, -1])
+        if not on.any():
+            break
         Fa, Ea = F[on], E[on]
         A = np.abs(Fa)
         E[on] = (gamma * A + Ea) @ A + (A + Ea) @ Ea
@@ -251,7 +254,8 @@ def dd_exp_batch(nodes: np.ndarray, t: float):
     reports the row; it picks no kernel.  The error bound is absolute, in
     the value's units, and includes the phase error eps |x t|.  Every route
     runs with overflow let through, and a row whose bound is then nan or not
-    below |t|^(m-1) / (m-1)!, Hermite-Genocchi's bound on |f[x]| rounded up,
+    below |t|^(m-1) / (m-1)!, Hermite-Genocchi's bound on |f[x]| rounded up
+    (taken in logs from m = 172 on, where (m-1)! leaves the floats),
     returns 0 within it: every finite row, one node included, gets a finite
     value and a nonnegative bound, inf only where that cap overflows.  With
     m > 1 nodes at t = 0 every row is exactly 0, bound 0.
@@ -285,7 +289,12 @@ def dd_exp_batch(nodes: np.ndarray, t: float):
             values[near], errs[near] = _series(srt[near], t)
         if np.any(far):
             values[far], errs[far] = _squared_series(srt[far], t, rho[far])
-        cap = np.float64(abs(t)) ** (m - 1) / math.factorial(m - 1)
+        try:
+            cap = np.float64(abs(t)) ** (m - 1) / math.factorial(m - 1)
+        except OverflowError:  # (m - 1)! leaves the floats from m = 172 on
+            a, b = (m - 1) * math.log(abs(t)), math.lgamma(m)
+            # log, lgamma and the sum each err by a few ulps: round the exponent up
+            cap = np.exp(a - b + 16 * _EPS * (abs(a) + b))
         cap += m * (_EPS * cap + math.ulp(0.0))  # rounded up, never 0
         bad = ~(errs < cap)  # the bound is nan or leaves no digit
         values[bad], errs[bad] = 0.0, cap

@@ -547,16 +547,25 @@ def test_propagate_csv_from_columns_matches_the_rowwise_text(
     model_path, monkeypatch, capsys
 ):
     rng = np.random.default_rng(5)
+    cases = []
     for _ in range(20):
         n, dim = int(rng.integers(1, 40)), int(rng.integers(1, 9))
         scale = 10.0 ** rng.uniform(-20.0, 3.0, size=(n, dim))
         amps = (rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))) * scale
         amps[rng.uniform(size=(n, dim)) < 0.1] = -0.0
-        res = EvolutionResult(
-            times=np.sort(rng.uniform(-5.0, 5.0, size=n)), amplitudes=amps,
-            order_cap=3, tail_bounds=10.0 ** rng.uniform(-300.0, 3.0, size=n),
-            norm_drift=np.zeros(n),
-        )
+        cases.append((np.sort(rng.uniform(-5.0, 5.0, size=n)), amps,
+                      10.0 ** rng.uniform(-300.0, 3.0, size=n)))
+    # signed zero times, infinite tail bounds, and one level at one time
+    cases += [
+        (np.array([-0.0, 0.0, 0.0, 1.0]), rng.standard_normal((4, 3)) + 0j,
+         np.array([np.inf, 1e-12, np.inf, 0.0])),
+        (np.array([-0.0]), np.array([[1.0 - 0.5j]]), np.array([np.inf])),
+        (np.array([0.0]), np.array([[complex(-0.0, -0.0)]]), np.array([0.0])),
+    ]
+    for times, amps, tails in cases:
+        n, dim = amps.shape
+        res = EvolutionResult(times=times, amplitudes=amps, order_cap=3,
+                              tail_bounds=tails, norm_drift=np.zeros(n))
         monkeypatch.setattr(propagator, "evolve", lambda *args, res=res: res)
         monkeypatch.setattr(cli, "_load", lambda args, dim=dim: SimpleNamespace(dim=dim))
         assert run_cli(["propagate", "--model", model_path, "--order", "3"]) == 0

@@ -1,6 +1,7 @@
 import itertools
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -293,6 +294,10 @@ def node_rows(draw):
 @example([1e308, 1e308], 10.0)
 @example([1e308], 10.0)
 @example([0.0, 0.0, 0.0], 1e200)
+# rows whose (m - 1)! leaves the floats: a finite cap, and one that overflows
+@example([0.0] * 172, 1e-3)
+@example([0.0] * 400, 100.0)
+@example([0.0] * 400, 1e3)
 def test_every_finite_row_is_finite_and_bounded(x, t):
     # |f[x]| <= |t|^(m-1) / (m-1)! (Hermite-Genocchi), so a value within
     # its bound never exceeds that cap by more than the bound
@@ -300,10 +305,10 @@ def test_every_finite_row_is_finite_and_bounded(x, t):
         warnings.simplefilter("error", RuntimeWarning)
         vals, _, errs = dd_exp_batch(np.array([x]), t)
     m = len(x)
-    if t and (m - 1) * math.log10(abs(t)) > 300:
+    try:  # exact, rounded once
+        cap = float(Fraction(abs(t)) ** (m - 1) / math.factorial(m - 1))
+    except OverflowError:
         cap = math.inf
-    else:
-        cap = abs(t) ** (m - 1) / math.factorial(m - 1)
     assert np.isfinite(vals[0]) and errs[0] >= 0.0, (x, t)
     assert abs(vals[0]) <= cap * (1 + 4 * _EPS) + errs[0], (x, t)
 
